@@ -1,20 +1,23 @@
 """Matrix-free ADMM recovery of the transition matrix from sampled measurements.
 
 Splitting: min 0.5 * N^2 ||restrict_J(IFFT2(U)) - B||^2 + lambda ||Z||_1
-subject to U = Z.  The U-subproblem diagonalizes in the Fourier domain, so
-each sweep costs two N x N FFTs plus elementwise work; no matrix products or
+subject to U = Z.  The U-subproblem diagonalizes in the Fourier domain, and
+its diagonal is beta off J x J, so each sweep needs IFFT2 only on J x J and
+FFT2 only of a block supported on J x J: N + M one-dimensional transforms
+each way instead of 2N, plus elementwise work.  No matrix products or
 inversions anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import MeasurementSet, embed_measurements
+from .grid import MeasurementSet, embed_measurements, embedded_fft2, sampled_ifft2
 
 __all__ = [
     "AdmmConfig",
@@ -32,8 +35,8 @@ __all__ = [
 ]
 
 # module-level references so tests can count calls
-_fft2 = np.fft.fft2
-_ifft2 = np.fft.ifft2
+_fft2 = embedded_fft2
+_ifft2 = sampled_ifft2
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,14 @@ class SolveReport:
     wall_time: float
     max_imag: float = 0.0
 
+    @classmethod
+    def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float):
+        """Report on the final Fourier-domain iterate u: s_hat = real(u)/N^2, timed from start."""
+        wall, n2 = time.perf_counter() - start, u.shape[0] ** 2
+        return cls(s_hat=np.real(u) / n2, history=history, iterations=len(history),
+                   converged=converged, wall_time=wall,
+                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2)
+
     def to_json_dict(self) -> dict:
         """Scalars and residual history; the matrix is written separately."""
         return {
@@ -120,61 +131,71 @@ def build_mhat(n: int, indices, beta: float) -> np.ndarray:
 def soft_threshold(v, tau: float):
     """Complex magnitude shrinkage: the prox of tau * ||.||_1.
 
-    Shrinks |v| by tau preserving phase; reduces to sign(v) max(|v|-tau, 0)
-    on reals.
+    v * max(1 - tau/|v|, 0): shrinks |v| by tau preserving phase; reduces to
+    sign(v) max(|v|-tau, 0) on reals.  Entries with |v| = 0 map to 0.
     """
     v = np.asarray(v)
-    mag = np.abs(v)
-    scale = np.maximum(mag - tau, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(mag > 0, v * (scale / np.where(mag > 0, mag, 1.0)), 0.0)
-    return out
+    if tau == 0:
+        return v.copy()
+    # 1 - tau / max(|v|, tau) is exactly 0 where |v| <= tau, and never divides by 0
+    scale = np.abs(v, out=np.empty(v.shape))  # an array even for 0-d v
+    np.maximum(scale, tau, out=scale)
+    np.divide(tau, scale, out=scale)
+    return v * np.subtract(1.0, scale, out=scale)
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
              beta: float) -> np.ndarray:
-    """Closed-form U-subproblem solve: two FFTs and an elementwise division.
+    """Closed-form U-subproblem solve: U+ = FFT2[(A_hat + W) / M_hat].
 
-    U+ = FFT2[(A_hat + IFFT2(beta Z - Y)) / M_hat].  The dual term -Y enters
-    the right-hand side alongside beta Z.
+    W = IFFT2(beta Z - Y).  M_hat (from build_mhat) is beta + 1 on J x J and
+    beta elsewhere, and FFT2(W / beta) = Z - Y / beta, so
+    U+ = Z - Y / beta + FFT2(C) with C = (B + W_J) / (beta + 1) - W_J / beta
+    on J x J and zero elsewhere: only the J x J block of W is computed.
     """
+    return _fft2_c(state, embedded_b, mhat, beta) + state.z - state.y * (1.0 / beta)
+
+
+def _fft2_c(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
+            beta: float) -> np.ndarray:
+    """FFT2(C) of u_update, the only part of the sweep that transforms."""
     n = embedded_b.shape[0]
     if embedded_b.shape != state.z.shape:
         raise ShapeMismatch("embedded_b and state grids must have equal shape")
-    mhat_grid = mhat.reshape(n, n)
-    a_hat = embedded_b + _ifft2(beta * state.z - state.y)
-    return _fft2(a_hat / mhat_grid)
-
-
-def _norms(state: AdmmState, cfg: AdmmConfig) -> tuple[float, float]:
-    n = state.u.shape[0]
-    eps_pri = n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * max(
-        np.linalg.norm(state.u), np.linalg.norm(state.z))
-    eps_dual = n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * np.linalg.norm(state.y)
-    return float(eps_pri), float(eps_dual)
+    j = np.flatnonzero(np.ravel(mhat)[::n + 1] > beta)  # the diagonal of M_hat as N x N
+    rhs = state.z * beta
+    rhs -= state.y
+    w = _ifft2(rhs, j)
+    # C = B / (beta + 1) - W_J / (beta (beta + 1)), with reciprocals: complex / real is slow
+    c = embedded_b.take(j, 0).take(j, 1) * (1.0 / (beta + 1.0)) - w * (1.0 / (beta * (beta + 1.0)))
+    return _fft2(c, j, n)
 
 
 def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
             cfg: AdmmConfig) -> tuple[AdmmState, ResidualRecord]:
     """One full ADMM sweep; returns the new state and its residual record."""
     beta = cfg.beta
-    u_new = u_update(state, embedded_b, mhat, beta)
-    z_new = soft_threshold(u_new + state.y / beta, cfg.lam / beta)
-    y_new = state.y + beta * (u_new - z_new)
-    r = u_new - z_new
-    s = beta * (z_new - state.z)
-    new_state = AdmmState(u=u_new, z=z_new, y=y_new, k=state.k + 1)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(z_new))):
-        raise NonFinite(f"non-finite iterate at k={new_state.k}; check beta/lambda")
-    eps_pri, eps_dual = _norms(new_state, cfg)
-    rec = ResidualRecord(
-        k=new_state.k,
-        r_norm=float(np.linalg.norm(r)),
-        s_norm=float(np.linalg.norm(s)),
-        eps_pri=eps_pri,
-        eps_dual=eps_dual,
-    )
-    return new_state, rec
+    v = _fft2_c(state, embedded_b, mhat, beta)
+    v += state.z  # V = U+ + Y / beta, the prox argument
+    u = state.y * (-1.0 / beta)
+    u += v  # U+ as u_update returns it
+    z = soft_threshold(v, cfg.lam / beta)
+    y = u - z  # the primal residual r, turned into Y + beta r below
+    r_norm = math.sqrt(np.vdot(y, y).real)
+    y *= beta
+    y += state.y
+    dz = np.subtract(z, state.z, out=v)
+    s_norm = beta * math.sqrt(np.vdot(dz, dz).real)
+    k = state.k + 1
+    uu, zz, yy = np.vdot(u, u).real, np.vdot(z, z).real, np.vdot(y, y).real
+    # finite sums of squares mean finite entries; if not, test exactly (it may be overflow)
+    if not math.isfinite(uu + zz) and not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
+        raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
+    n = u.shape[0]
+    rec = ResidualRecord(k=k, r_norm=r_norm, s_norm=s_norm,
+                         eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
+                         eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
+    return AdmmState(u=u, z=z, y=y, k=k), rec
 
 
 def residual_check(rec: ResidualRecord) -> bool:
@@ -184,34 +205,7 @@ def residual_check(rec: ResidualRecord) -> bool:
 
 def recover(ms: MeasurementSet, cfg: AdmmConfig) -> SolveReport:
     """Run ADMM from zero initialization until the stopping criterion or max_iter."""
-    n = ms.n
-    embedded_b = embed_measurements(ms)
-    mhat = build_mhat(n, ms.indices, cfg.beta)
-    zeros = np.zeros((n, n), dtype=complex)
-    state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
-    history: list[ResidualRecord] = []
-    converged = False
-    start = time.perf_counter()
-    for _ in range(cfg.max_iter):
-        state, rec = iterate(state, embedded_b, mhat, cfg)
-        history.append(rec)
-        first = history[0]
-        dropped = (rec.r_norm <= cfg.min_drop * first.r_norm
-                   and rec.s_norm <= cfg.min_drop * first.s_norm)
-        if residual_check(rec) and dropped:
-            converged = True
-            break
-    wall = time.perf_counter() - start
-    s_hat = np.real(state.u) / n**2
-    max_imag = float(np.max(np.abs(np.imag(state.u)))) / n**2
-    return SolveReport(
-        s_hat=s_hat,
-        history=history,
-        iterations=state.k,
-        converged=converged,
-        wall_time=wall,
-        max_imag=max_imag,
-    )
+    return _run(ms, cfg)
 
 
 def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
@@ -223,12 +217,19 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
     The converged flag keeps the same meaning as in recover (stopping-rule
     satisfied), independent of whether the error target was reached.
     """
+    true_norm = np.linalg.norm(s_true)  # rel_l2_error, with the fixed norm taken once
+    return _run(ms, cfg,
+                stop=lambda u: np.linalg.norm(np.real(u) / ms.n**2 - s_true) / true_norm <= target)
+
+
+def _run(ms: MeasurementSet, cfg: AdmmConfig, stop=None) -> SolveReport:
+    """Sweeps from zero until stop(U), or without stop until the stopping rule holds;
+    converged reports whether the stopping rule held at any sweep."""
     n = ms.n
     embedded_b = embed_measurements(ms)
     mhat = build_mhat(n, ms.indices, cfg.beta)
     zeros = np.zeros((n, n), dtype=complex)
     state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
-    true_norm = np.linalg.norm(s_true)
     history: list[ResidualRecord] = []
     converged = False
     start = time.perf_counter()
@@ -236,29 +237,15 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
         state, rec = iterate(state, embedded_b, mhat, cfg)
         history.append(rec)
         first = history[0]
-        if (residual_check(rec)
-                and rec.r_norm <= cfg.min_drop * first.r_norm
-                and rec.s_norm <= cfg.min_drop * first.s_norm):
-            converged = True
-        err = np.linalg.norm(np.real(state.u) / n**2 - s_true) / true_norm
-        if err <= target:
+        converged = converged or (residual_check(rec)
+                                  and rec.r_norm <= cfg.min_drop * first.r_norm
+                                  and rec.s_norm <= cfg.min_drop * first.s_norm)
+        if stop(state.u) if stop is not None else converged:
             break
-    wall = time.perf_counter() - start
-    s_hat = np.real(state.u) / n**2
-    max_imag = float(np.max(np.abs(np.imag(state.u)))) / n**2
-    return SolveReport(
-        s_hat=s_hat,
-        history=history,
-        iterations=state.k,
-        converged=converged,
-        wall_time=wall,
-        max_imag=max_imag,
-    )
+    return SolveReport.from_iterate(state.u, history, converged, start)
 
 
 def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:
     """Fidelity-plus-penalty value at (U, Z); used for suboptimality diagnostics."""
-    n = ms.n
-    forward = _ifft2(u)[np.ix_(ms.indices, ms.indices)]
-    fid = 0.5 * n**2 * np.linalg.norm(forward - ms.b) ** 2
+    fid = 0.5 * ms.n**2 * np.linalg.norm(_ifft2(u, ms.indices) - ms.b) ** 2
     return float(fid + lam * np.sum(np.abs(z)))

@@ -19,7 +19,8 @@ __all__ = [
     "MeasurementSet",
     "full_measurements",
     "invert_full",
-    "clamp_negatives",
+    "sampled_ifft2",
+    "embedded_fft2",
     "sample_indices",
     "sampled_measurements",
     "embed_measurements",
@@ -82,11 +83,29 @@ def invert_full(b_full: np.ndarray) -> np.ndarray:
     return np.real(np.fft.fft2(b_full)) / n**2
 
 
-def clamp_negatives(s: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Zero tiny negative entries in (-eps, 0); presentation helper only."""
-    out = s.copy()
-    out[(out > -eps) & (out < 0)] = 0.0
-    return out
+def sampled_ifft2(x, indices=None) -> np.ndarray:
+    """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None."""
+    if indices is None:
+        return np.fft.ifft2(x)
+    j = np.asarray(indices, dtype=int)
+    cols = np.take(np.fft.ifft(x, axis=1), j, axis=1)
+    return np.fft.ifft(cols, axis=0, out=cols)[j]
+
+
+def embedded_fft2(c, indices=None, n: int | None = None) -> np.ndarray:
+    """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
+    plain fft2 if indices is None."""
+    if indices is None:
+        return np.fft.fft2(c)
+    if n is None:
+        raise ValueError("embedded_fft2 needs the grid size n when indices are given")
+    j = np.asarray(indices, dtype=int)
+    cols = np.zeros((n, len(j)), dtype=complex)
+    cols[j] = c
+    out = np.zeros((n, n), dtype=complex)
+    # flat-index scatter into columns J: about twice as fast as out[:, j] = ...
+    np.put(out, np.add.outer(n * np.arange(n), j), np.fft.fft(cols, axis=0))
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

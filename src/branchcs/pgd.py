@@ -15,12 +15,12 @@ import numpy as np
 
 from .admm import SolveReport, soft_threshold
 from .errors import NonFinite, ShapeMismatch
-from .grid import MeasurementSet
+from .grid import MeasurementSet, embedded_fft2, sampled_ifft2
 
 __all__ = ["PgdConfig", "PgdRecord", "forward", "fidelity_gradient", "smooth_value", "pgd_recover"]
 
-_fft2 = np.fft.fft2
-_ifft2 = np.fft.ifft2
+_fft2 = embedded_fft2
+_ifft2 = sampled_ifft2
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,23 @@ def forward(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """Sampled inverse-Fourier measurement of S: IFFT2(S) restricted to J x J."""
     if s.shape != (ms.n, ms.n):
         raise ShapeMismatch(f"expected {(ms.n, ms.n)}, got {s.shape}")
-    return _ifft2(s)[np.ix_(ms.indices, ms.indices)]
+    return _ifft2(s, ms.indices)
 
 
 def fidelity_gradient(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """Gradient of the smooth term, matrix-free: FFT2 of the embedded residual."""
-    resid = forward(s, ms) - ms.b
-    embedded = np.zeros((ms.n, ms.n), dtype=complex)
-    embedded[np.ix_(ms.indices, ms.indices)] = resid
-    return _fft2(embedded)
+    return _value_and_gradient(s, ms)[1]
 
 
 def smooth_value(s: np.ndarray, ms: MeasurementSet) -> float:
-    return float(0.5 * ms.n**2 * np.linalg.norm(forward(s, ms) - ms.b) ** 2)
+    return _value_and_gradient(s, ms, gradient=False)[0]
+
+
+def _value_and_gradient(s: np.ndarray, ms: MeasurementSet, gradient: bool = True):
+    """Smooth value and, unless gradient is False, its gradient from one residual."""
+    resid = forward(s, ms) - ms.b
+    value = float(0.5 * ms.n**2 * np.linalg.norm(resid) ** 2)
+    return value, (_fft2(resid, ms.indices, ms.n) if gradient else None)
 
 
 def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
@@ -76,8 +80,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)  # k/(k+3) for the previous step index
         y = s_cur + omega * (s_cur - s_prev)
-        g = fidelity_gradient(y, ms)
-        f_y = smooth_value(y, ms)
+        f_y, g = _value_and_gradient(y, ms)
         while True:
             cand = soft_threshold(y - g / l_cur, cfg.lam / l_cur)
             diff = cand - y
@@ -93,14 +96,4 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
         if rel < cfg.tol:
             converged = True
             break
-    wall = time.perf_counter() - start
-    s_hat = np.real(s_cur) / n**2
-    max_imag = float(np.max(np.abs(np.imag(s_cur)))) / n**2
-    return SolveReport(
-        s_hat=s_hat,
-        history=history,
-        iterations=len(history),
-        converged=converged,
-        wall_time=wall,
-        max_imag=max_imag,
-    )
+    return SolveReport.from_iterate(s_cur, history, converged, start)

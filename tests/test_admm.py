@@ -65,6 +65,8 @@ class TestSoftThreshold:
 
     def test_zero_safe(self):
         assert soft_threshold(np.array([0.0 + 0.0j]), 1.0)[0] == 0.0
+        # tau = 0 at |v| = 0 is 0/0 inside the fused prox; it must still give 0
+        assert soft_threshold(np.array([0.0 + 0.0j]), 0.0)[0] == 0.0
 
     def test_zero_tau_is_identity(self):
         v = np.array([1.0 + 2.0j, -0.5])
@@ -116,17 +118,29 @@ class TestUpdateMechanics:
         with pytest.raises(ShapeMismatch):
             u_update(state, embed_measurements(ms), build_mhat(4, ms.indices, 0.1), 0.1)
 
+    def test_u_update_matches_full_grid_formula(self):
+        # the restricted-transform solve against FFT2[(A_hat + IFFT2(beta Z - Y)) / M_hat]
+        n, beta = 32, 0.07
+        ms, _ = toy_measurements(n, 10, 3)
+        rng = np.random.default_rng(5)
+        z, y = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        emb = embed_measurements(ms)
+        mhat = build_mhat(n, ms.indices, beta)
+        want = np.fft.fft2((emb + np.fft.ifft2(beta * z - y)) / mhat.reshape(n, n))
+        got = u_update(AdmmState(u=z.copy(), z=z, y=y), emb, mhat, beta)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
     def test_one_fft_pair_per_sweep(self, monkeypatch):
         calls = {"fft2": 0, "ifft2": 0}
-        real_fft2, real_ifft2 = np.fft.fft2, np.fft.ifft2
+        real_fft2, real_ifft2 = admm._fft2, admm._ifft2
 
-        def counting_fft2(x):
+        def counting_fft2(*args):
             calls["fft2"] += 1
-            return real_fft2(x)
+            return real_fft2(*args)
 
-        def counting_ifft2(x):
+        def counting_ifft2(*args):
             calls["ifft2"] += 1
-            return real_ifft2(x)
+            return real_ifft2(*args)
 
         monkeypatch.setattr(admm, "_fft2", counting_fft2)
         monkeypatch.setattr(admm, "_ifft2", counting_ifft2)

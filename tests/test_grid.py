@@ -6,13 +6,14 @@ import pytest
 from branchcs.errors import MTooLarge, NonSquareGrid
 from branchcs.grid import (
     MeasurementSet,
-    clamp_negatives,
     default_m,
     embed_measurements,
+    embedded_fft2,
     full_measurements,
     invert_full,
     rel_l2_error,
     sample_indices,
+    sampled_ifft2,
     sampled_measurements,
 )
 
@@ -127,12 +128,37 @@ class TestDefaults:
             default_m(64, 0)
 
 
-def test_clamp_negatives():
-    s = np.array([[0.5, -1e-9], [-0.1, 1e-9]])
-    out = clamp_negatives(s)
-    assert out[0, 1] == 0.0
-    assert out[1, 0] == -0.1  # large negatives are preserved, not hidden
-    assert s[0, 1] == -1e-9  # input untouched
+class TestRestrictedTransforms:
+    """The sampled IFFT2 / embedded FFT2 pair against full-grid numpy transforms."""
+
+    @pytest.mark.parametrize("n,indices", [
+        (16, np.arange(16)),              # J = all indices
+        (16, np.array([5])),              # |J| = 1
+        (16, np.array([9, 2, 14, 0, 7])), # unsorted J
+        (2, np.array([1])),
+        (2, np.array([1, 0])),
+    ])
+    def test_pair_matches_full_transforms(self, n, indices):
+        rng = np.random.default_rng(n + len(indices))
+        m = len(indices)
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        sub = np.ix_(indices, indices)
+        got = sampled_ifft2(x, indices)
+        assert got.shape == (m, m)
+        assert np.max(np.abs(got - np.fft.ifft2(x)[sub])) < 1e-12
+        embed = np.zeros((n, n), dtype=complex)
+        embed[sub] = c
+        assert np.max(np.abs(embedded_fft2(c, indices, n) - np.fft.fft2(embed))) < 1e-12
+
+    def test_default_indices_are_plain_transforms(self):
+        x = np.random.default_rng(1).normal(size=(8, 8))
+        assert np.array_equal(sampled_ifft2(x), np.fft.ifft2(x))
+        assert np.array_equal(embedded_fft2(x), np.fft.fft2(x))
+
+    def test_embedded_needs_grid_size(self):
+        with pytest.raises(ValueError):
+            embedded_fft2(np.ones((2, 2)), np.array([0, 1]))
 
 
 def test_rel_l2_error():
