@@ -30,7 +30,7 @@ from .grid import (
     sample_indices,
     sampled_measurements,
 )
-from .models import model_from_config
+from .models import ModelSpec, model_from_config
 from .oracle import oracle_transition_matrix
 from .presets import DEFAULT_SPARSITY_K, admm_defaults, pgd_lambda
 
@@ -45,9 +45,24 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _prepare(args) -> tuple[dict, ModelSpec, Path]:
+    """Load the config, build its model and create the output directory."""
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    model = model_from_config(cfg)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, model, out_dir
+
+
+def _m_or_default(args) -> int:
+    return args.m if args.m is not None else default_m(args.n, DEFAULT_SPARSITY_K)
+
+
+def _subgrid(b_full: np.ndarray, indices, seed: int) -> MeasurementSet:
+    """Measurements on J x J read off an already computed full grid."""
+    return MeasurementSet(n=len(b_full), indices=indices,
+                          b=b_full[np.ix_(indices, indices)], seed=seed)
 
 
 def _write_manifest(out_dir: Path, name: str, payload: dict) -> Path:
@@ -84,10 +99,7 @@ def _solver_config(args, kind: str, n: int, m: int):
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, model, out_dir = _prepare(args)
     b_full = full_measurements(model, args.n)
     s = invert_full(b_full)
     s_path = _write_matrix(out_dir / "S_full", s, args.format)
@@ -104,12 +116,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n = args.n
-    m = args.m if args.m is not None else default_m(n, DEFAULT_SPARSITY_K)
+    cfg, model, out_dir = _prepare(args)
+    n, m = args.n, _m_or_default(args)
     indices = sample_indices(n, m, args.seed)
     ms = sampled_measurements(model, n, indices, seed=args.seed)
     solver_cfg = _solver_config(args, model.kind, n, m)
@@ -157,19 +165,13 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n = args.n
-    m = args.m if args.m is not None else default_m(n, DEFAULT_SPARSITY_K)
+    cfg, model, out_dir = _prepare(args)
+    n, m = args.n, _m_or_default(args)
     values = sorted(_parse_grid(args.grid))
+    indices = sample_indices(n, m, args.seed)  # rejects --m > --n before the full grid
     b_full = full_measurements(model, n)
     s_true = invert_full(b_full)
-    indices = sample_indices(n, m, args.seed)
-    # measurements shared across grid points; submatrix of the full grid
-    ms = MeasurementSet(n=n, indices=indices,
-                        b=b_full[np.ix_(indices, indices)], seed=args.seed)
+    ms = _subgrid(b_full, indices, args.seed)  # shared across grid points
     rows = []
     for value in values:
         overrides = {"beta": value} if args.param == "beta" else {"lam": value}
@@ -211,8 +213,7 @@ def _bench_one(model, n: int, trials: int, max_iter: int):
     results = {"admm": {"wall": [], "err": []}, "pgd": {"wall": [], "err": []}}
     for trial in range(trials):
         indices = sample_indices(n, m, seed=trial)
-        ms = MeasurementSet(n=n, indices=indices,
-                            b=b_full[np.ix_(indices, indices)], seed=trial)
+        ms = _subgrid(b_full, indices, trial)
         p_cfg = pgd.PgdConfig(lam=pgd_lambda(model.kind, m), max_iter=max_iter)
         p_rep = pgd.pgd_recover(ms, p_cfg)
         p_err = rel_l2_error(p_rep.s_hat, s_true)
@@ -226,10 +227,7 @@ def _bench_one(model, n: int, trials: int, max_iter: int):
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, model, out_dir = _prepare(args)
     n_list = [int(x) for x in args.n_list.split(",")]
     rows = []
     for n in n_list:
@@ -258,10 +256,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _load_config(args.config)
-    model = model_from_config(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, model, out_dir = _prepare(args)
     result = oracle_transition_matrix(model, args.n_trunc, tol=args.tol)
     s_path = _write_matrix(out_dir / "S_oracle", result.probs, args.format)
     _write_manifest(out_dir, "manifest.json", {
@@ -343,12 +338,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        # before BranchCSError: MTooLarge is both, and it is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BranchCSError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

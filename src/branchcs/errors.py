@@ -13,8 +13,8 @@ class DegenerateRates(BranchCSError):
     """Closed-form PGF is undefined for the supplied rates (gamma == delta)."""
 
 
-class MTooLarge(BranchCSError):
-    """Requested more sample indices than grid points."""
+class MTooLarge(BranchCSError, ValueError):
+    """Requested more sample indices than grid points (a usage error)."""
 
 
 class NonSquareGrid(BranchCSError):

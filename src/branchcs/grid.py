@@ -51,26 +51,34 @@ class MeasurementSet:
         return len(self.indices)
 
 
-def _require_pow2(n: int):
+def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols.
+
+    Columns share s2, so each column is one batched ODE solve.  Written into
+    out (len(rows) x len(cols)) when given, else into a new array.
+    """
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 2, got {n}")
+    s1 = np.exp(2j * np.pi * np.asarray(rows) / n)
+    b = np.empty((len(s1), len(cols)), dtype=complex) if out is None else out
+    for col, v in enumerate(cols):
+        b[:, col] = pgf_many(model, s1, np.exp(2j * np.pi * v / n), ode_cfg)
+    return b
 
 
 def full_measurements(model: ModelSpec, n: int,
                       ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
     """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
 
-    Columns share s2, so each column is one batched ODE solve; columns above
-    N/2 come from conjugate symmetry (the coefficients are real).
+    Columns 0..N/2 are computed; columns above N/2 come from conjugate
+    symmetry (the coefficients are real).
     """
-    _require_pow2(n)
-    s1 = np.exp(2j * np.pi * np.arange(n) / n)
+    half = n // 2 + 1
     b = np.empty((n, n), dtype=complex)
-    for v in range(n // 2 + 1):
-        s2 = np.exp(2j * np.pi * v / n)
-        b[:, v] = pgf_many(model, s1, s2, ode_cfg)
+    _pgf_block(model, n, np.arange(n), range(half), ode_cfg, out=b[:, :half])
     refl = (n - np.arange(n)) % n
-    for v in range(n // 2 + 1, n):
+    for v in range(half, n):
         b[:, v] = np.conj(b[refl, n - v])
     return b
 
@@ -123,11 +131,7 @@ def sampled_measurements(model: ModelSpec, n: int, indices,
                          seed: int | None = None) -> MeasurementSet:
     """PGF values at the M x M subgrid J x J; performs exactly M^2 evaluations."""
     indices = np.asarray(indices, dtype=int)
-    s1 = np.exp(2j * np.pi * indices / n)
-    b = np.empty((len(indices), len(indices)), dtype=complex)
-    for col, v in enumerate(indices):
-        s2 = np.exp(2j * np.pi * v / n)
-        b[:, col] = pgf_many(model, s1, s2, ode_cfg)
+    b = _pgf_block(model, n, indices, indices, ode_cfg)
     return MeasurementSet(n=n, indices=indices, b=b, seed=seed)
 
 
@@ -153,4 +157,6 @@ def default_m(n: int, k_sparsity: int) -> int:
 
 def rel_l2_error(s_hat: np.ndarray, s_true: np.ndarray) -> float:
     """Relative Frobenius recovery error ||s_hat - s_true|| / ||s_true||."""
+    if np.shape(s_hat) != np.shape(s_true):
+        raise ValueError(f"shape mismatch: {np.shape(s_hat)} vs {np.shape(s_true)}")
     return float(np.linalg.norm(s_hat - s_true) / np.linalg.norm(s_true))

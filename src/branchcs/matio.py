@@ -37,11 +37,12 @@ def read_matrix(path) -> np.ndarray:
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a BPM1 matrix file")
     rows, cols, flags = struct.unpack("<III", raw[4:16])
-    if flags & FLAG_COMPLEX:
-        data = np.frombuffer(raw[16:], dtype="<c16", count=rows * cols)
-    else:
-        data = np.frombuffer(raw[16:], dtype="<f8", count=rows * cols)
-    return data.reshape(rows, cols).copy()
+    dtype = np.dtype("<c16" if flags & FLAG_COMPLEX else "<f8")
+    expected = 16 + rows * cols * dtype.itemsize
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} "
+                         f"for a {rows}x{cols} {dtype.name} matrix")
+    return np.frombuffer(raw, dtype=dtype, offset=16).reshape(rows, cols).copy()
 
 
 def write_csv(path, arr: np.ndarray) -> None:

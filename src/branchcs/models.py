@@ -22,9 +22,7 @@ __all__ = [
     "ModelSpec",
     "OdeConfig",
     "hsc_phi2",
-    "hsc_phi1",
     "bds_phi01",
-    "bds_phi10",
     "pgf",
     "pgf_many",
     "model_from_config",
@@ -101,44 +99,6 @@ def hsc_phi2(t: float, s2: complex, rates: RatesHSC) -> complex:
     return 1.0 + (s2 - 1.0) * math.exp(-rates.mu * t)
 
 
-def _integrate(rhs, t, y0, cfg: OdeConfig) -> np.ndarray:
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        y0,
-        method="RK45",
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        max_step=cfg.max_step,
-    )
-    if not sol.success:
-        raise IntegrationFailure(sol.message)
-    return sol.y[:, -1]
-
-
-def _hsc_phi1_vec(t, s1, s2, rates: RatesHSC, cfg: OdeConfig) -> np.ndarray:
-    s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
-    if t == 0:
-        return s1.copy()
-    rho, nu, mu = rates.rho, rates.nu, rates.mu
-
-    def rhs(tau, phi):
-        forcing = nu * (1.0 + (s2 - 1.0) * np.exp(-mu * tau))
-        return rho * phi * phi - (rho + nu) * phi + forcing
-
-    return _integrate(rhs, t, s1, cfg)
-
-
-def hsc_phi1(t: float, s1: complex, s2: complex, rates: RatesHSC,
-             ode_cfg: OdeConfig = DEFAULT_ODE) -> complex:
-    """Type-1 (stem cell) PGF via the backward equation.
-
-    Integrates dphi/dtau = rho phi^2 - (rho + nu) phi + nu phi2(tau) from
-    phi(0) = s1, where phi2 is the closed-form type-2 solution.
-    """
-    return complex(_hsc_phi1_vec(t, s1, s2, rates, ode_cfg)[0])
-
-
 def bds_phi01(t: float, s2: complex, rates: RatesBDS) -> complex:
     """PGF starting from one newly occupied location; closed form.
 
@@ -153,43 +113,44 @@ def bds_phi01(t: float, s2: complex, rates: RatesBDS) -> complex:
     return 1.0 + 1.0 / bracket
 
 
-def _bds_phi10_vec(t, s1, s2, rates: RatesBDS, cfg: OdeConfig) -> np.ndarray:
-    s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
-    if t == 0:
-        return s1.copy()
-    g, sg, d = rates.gamma, rates.sigma, rates.delta
-    total = g + sg + d
-
-    def rhs(tau, phi):
-        p01 = bds_phi01(tau, s2, rates)
-        return g * phi * p01 + sg * p01 + d - total * phi
-
-    return _integrate(rhs, t, s1, cfg)
-
-
-def bds_phi10(t: float, s1: complex, s2: complex, rates: RatesBDS,
-              ode_cfg: OdeConfig = DEFAULT_ODE) -> complex:
-    """PGF starting from one initially occupied location, via the backward equation."""
-    return complex(_bds_phi10_vec(t, s1, s2, rates, ode_cfg)[0])
-
-
 def pgf_many(model: ModelSpec, s1, s2: complex,
              ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
     """PGF of the model at many s1 values sharing one s2.
 
-    The type-1 ODEs for a fixed s2 differ only in their initial condition, so a
-    whole grid column integrates as one vector-valued system.  Per particle
+    The type-2 PGF phi2 has a closed form.  The type-1 PGF phi1 solves a
+    backward equation driven by it, from phi1(0) = s1:
+      hsc: dphi/dtau = rho phi^2 - (rho + nu) phi + nu phi2(tau)
+      bds: dphi/dtau = gamma phi phi2(tau) + sigma phi2(tau) + delta
+                       - (gamma + sigma + delta) phi
+    These ODEs differ only in their initial condition for a fixed s2, so all
+    s1 values integrate as one vector-valued system.  Per particle
     independence phi_{jk} = phi1^j phi2^k.
     """
     s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
     j, k = model.init
-    t = model.t
+    t, rates = model.t, model.rates
     if model.kind == "hsc":
-        p2 = hsc_phi2(t, s2, model.rates)
-        p1 = _hsc_phi1_vec(t, s1, s2, model.rates, ode_cfg) if j else np.ones_like(s1)
+        p2 = hsc_phi2(t, s2, rates)
+        rho, nu, mu = rates.rho, rates.nu, rates.mu
+
+        def rhs(tau, phi):
+            forcing = nu * (1.0 + (s2 - 1.0) * np.exp(-mu * tau))
+            return rho * phi * phi - (rho + nu) * phi + forcing
     else:
-        p2 = bds_phi01(t, s2, model.rates)
-        p1 = _bds_phi10_vec(t, s1, s2, model.rates, ode_cfg) if j else np.ones_like(s1)
+        p2 = bds_phi01(t, s2, rates)
+        g, sg, d = rates.gamma, rates.sigma, rates.delta
+        total = g + sg + d
+
+        def rhs(tau, phi):
+            p01 = bds_phi01(tau, s2, rates)
+            return g * phi * p01 + sg * p01 + d - total * phi
+    p1 = np.ones_like(s1)
+    if j:
+        sol = solve_ivp(rhs, (0.0, t), s1, method="RK45", rtol=ode_cfg.rtol,
+                        atol=ode_cfg.atol, max_step=ode_cfg.max_step)
+        if not sol.success:
+            raise IntegrationFailure(sol.message)
+        p1 = sol.y[:, -1]
     return p1 ** j * p2 ** k
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from branchcs.cli import main
-from branchcs.matio import read_matrix
+from branchcs.matio import read_matrix, write_matrix
 
 HSC_CONFIG = {
     "model": "hsc",
@@ -159,7 +159,17 @@ class TestExitCodes:
         assert main(["solve", "--config", str(path),
                      "--out-dir", str(tmp_path), "--n", "16"]) == 2
 
-    def test_bad_grid_size_is_usage_error(self, hsc_config, tmp_path):
-        # non power of two grid raises ValueError -> usage exit
-        assert main(["solve", "--config", hsc_config,
-                     "--out-dir", str(tmp_path), "--n", "17"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "17"],                 # not a power of two
+        ["recover", "--n", "48"],
+        ["recover", "--n", "64", "--m", "80"],  # more samples than grid points
+        ["sweep", "--n", "64", "--m", "80", "--param", "beta", "--grid", "1"],
+    ], ids=["solve", "recover", "m-above-n", "sweep-m-above-n"])
+    def test_bad_grid_size_is_usage_error(self, hsc_config, tmp_path, argv):
+        assert main(argv + ["--config", hsc_config, "--out-dir", str(tmp_path)]) == 1
+
+    def test_mismatched_truth_is_usage_error(self, hsc_config, tmp_path):
+        truth = tmp_path / "row.bpm"
+        write_matrix(truth, np.ones((1, 32)))
+        assert main(["recover", "--config", hsc_config, "--out-dir", str(tmp_path),
+                     "--n", "32", "--m", "20", "--truth", str(truth)]) == 1

@@ -39,9 +39,13 @@ class TestFullGrid:
         assert bds64_truth.min() > -1e-8
         assert bds64_truth.sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_non_power_of_two_rejected(self, hsc_model):
+    @pytest.mark.parametrize("grid", ["full", "sampled"])
+    def test_non_power_of_two_rejected(self, hsc_model, grid):
         with pytest.raises(ValueError):
-            full_measurements(hsc_model, 48)
+            if grid == "full":
+                full_measurements(hsc_model, 48)
+            else:
+                sampled_measurements(hsc_model, 48, [0, 5, 47])
 
     def test_invert_requires_square(self):
         with pytest.raises(NonSquareGrid):
@@ -165,3 +169,5 @@ def test_rel_l2_error():
     a = np.ones((3, 3))
     assert rel_l2_error(a, a) == 0.0
     assert rel_l2_error(2 * a, a) == pytest.approx(1.0)
+    with pytest.raises(ValueError):  # would broadcast to 0.0
+        rel_l2_error(np.ones((4, 4)), np.ones((1, 4)))

@@ -37,6 +37,15 @@ class TestBinaryFormat:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "trailing-bytes"])
+    def test_wrong_length_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.bpm"
+        write_matrix(path, np.zeros((2, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+        with pytest.raises(ValueError, match="m.bpm"):
+            read_matrix(path)
+
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "x.bpm", np.zeros(5))

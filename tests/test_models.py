@@ -13,14 +13,17 @@ from branchcs.models import (
     RatesBDS,
     RatesHSC,
     bds_phi01,
-    bds_phi10,
-    hsc_phi1,
     hsc_phi2,
     model_from_config,
     pgf,
     pgf_many,
 )
 from conftest import BDS_RATES, HSC_RATES
+
+
+def type1(kind, rates, t):
+    """A model started from one type-1 particle: its PGF is phi1."""
+    return ModelSpec(kind=kind, rates=rates, t=t, init=(1, 0))
 
 
 class TestHscClosedForms:
@@ -35,7 +38,7 @@ class TestHscClosedForms:
     def test_phi1_initial_condition(self):
         # as t -> 0 the PGF approaches its argument
         s1 = 0.3 + 0.4j
-        got = hsc_phi1(1e-9, s1, 0.5j, HSC_RATES)
+        got = pgf(type1("hsc", HSC_RATES, 1e-9), s1, 0.5j)
         assert abs(got - s1) < 1e-8
 
     def test_phi1_against_fixed_step_rk4(self):
@@ -57,7 +60,7 @@ class TestHscClosedForms:
             k3 = rhs(tau + h / 2, phi + h * k2 / 2)
             k4 = rhs(tau + h, phi + h * k3)
             phi += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        got = hsc_phi1(t, s1, s2, HSC_RATES)
+        got = pgf(type1("hsc", HSC_RATES, t), s1, s2)
         assert abs(got - phi) < 1e-9
 
 
@@ -83,7 +86,7 @@ class TestBdsClosedForms:
 
     def test_phi10_initial_condition(self):
         s1 = -0.2 + 0.9j
-        got = bds_phi10(1e-9, s1, 0.4, BDS_RATES)
+        got = pgf(type1("bds", BDS_RATES, 1e-9), s1, 0.4)
         assert abs(got - s1) < 1e-8
 
 
@@ -174,6 +177,7 @@ class TestConfigParsing:
 
 def test_ode_config_tightness_is_respected():
     # a much looser tolerance must still land close; a tight one very close
-    loose = hsc_phi1(1.0, 0.3, 0.4, HSC_RATES, OdeConfig(rtol=1e-5, atol=1e-5))
-    tight = hsc_phi1(1.0, 0.3, 0.4, HSC_RATES)
+    model = type1("hsc", HSC_RATES, 1.0)
+    loose = pgf(model, 0.3, 0.4, OdeConfig(rtol=1e-5, atol=1e-5))
+    tight = pgf(model, 0.3, 0.4)
     assert abs(loose - tight) < 1e-4
