@@ -9,7 +9,8 @@ supplies points on the unit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Real
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -31,8 +32,8 @@ __all__ = [
 
 def _check_rates(**rates):
     for name, value in rates.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"rate {name} must be strictly positive and finite, got {value}")
+        if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+            raise ValueError(f"rate {name} must be strictly positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,15 +165,23 @@ def model_from_config(cfg: dict) -> ModelSpec:
     """Build a ModelSpec from the JSON config schema.
 
     Expected shape: {"model": "hsc"|"bds", "rates": {...}, "t": float,
-    "init": [j, k]}.
+    "init": [j, k]}.  A missing or malformed entry raises ValueError naming it.
     """
-    kind = cfg["model"]
-    raw = cfg["rates"]
-    if kind == "hsc":
-        rates = RatesHSC(rho=raw["rho"], nu=raw["nu"], mu=raw["mu"])
-    elif kind == "bds":
-        rates = RatesBDS(gamma=raw["gamma"], sigma=raw["sigma"], delta=raw["delta"])
-    else:
+    def get(mapping, key, where="config"):
+        if not isinstance(mapping, dict) or key not in mapping:
+            raise ValueError(f"{where} has no {key!r}")
+        return mapping[key]
+
+    kind = get(cfg, "model")
+    if kind not in ("hsc", "bds"):
         raise ValueError(f"unknown model kind {kind!r}")
-    j, k = cfg["init"]
-    return ModelSpec(kind=kind, rates=rates, t=float(cfg["t"]), init=(int(j), int(k)))
+    rates_type = RatesHSC if kind == "hsc" else RatesBDS
+    raw = get(cfg, "rates")
+    rates = rates_type(**{f.name: get(raw, f.name, "config 'rates'") for f in fields(rates_type)})
+    t, init = get(cfg, "t"), get(cfg, "init")
+    try:
+        j, k = init
+        return ModelSpec(kind=kind, rates=rates, t=float(t), init=(int(j), int(k)))
+    except TypeError:
+        raise ValueError(f"config 't' must be a number and 'init' a pair of integers, "
+                         f"got {t!r} and {init!r}") from None

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
 
 from .errors import NonConvergent
 from .models import ModelSpec
@@ -97,6 +96,9 @@ def transition_probs_uniformized(gen: TruncatedGenerator, init: tuple[int, int],
     Sums Poisson(Lambda t)-weighted powers of K = I + Q/Lambda until the
     Poisson tail drops below tol.
     """
+    # Imported here: scipy.stats is slow to load and only the oracle needs it.
+    from scipy.stats import poisson
+
     n = gen.n_trunc
     j, k = init
     if not (0 <= j < n and 0 <= k < n):

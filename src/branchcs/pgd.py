@@ -36,6 +36,8 @@ class PgdConfig:
             raise ValueError("l0 must be > 0")
         if not self.c > 1:
             raise ValueError("c must be > 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)

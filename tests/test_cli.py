@@ -1,10 +1,16 @@
 """CLI behavior: determinism, artifacts, manifests, exit codes."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from branchcs import cli
 from branchcs.cli import main
 from branchcs.matio import read_matrix, write_matrix
 
@@ -171,5 +177,91 @@ class TestExitCodes:
     def test_mismatched_truth_is_usage_error(self, hsc_config, tmp_path):
         truth = tmp_path / "row.bpm"
         write_matrix(truth, np.ones((1, 32)))
-        assert main(["recover", "--config", hsc_config, "--out-dir", str(tmp_path),
-                     "--n", "32", "--m", "20", "--truth", str(truth)]) == 1
+        for path in (truth, tmp_path / "missing.bpm"):
+            assert main(["recover", "--config", hsc_config, "--out-dir", str(tmp_path),
+                         "--n", "32", "--m", "20", "--truth", str(path)]) == 1
+        assert not (tmp_path / "S_hat.bpm").exists()  # rejected before the solve
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2"],
+        ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:3:4:log"],
+        ["sweep", "--n", "16", "--param", "beta", "--grid", "0.1:1:2:foo"],
+        ["sweep", "--n", "16", "--param", "beta", "--grid=-1,1"],
+        ["recover", "--n", "16", "--solver", "pgd", "--max-iter", "0"],
+        ["recover", "--n", "16", "--beta", "-1"],
+        ["bench", "--n-list", "16", "--trials", "0"],
+        ["bench", "--n-list", "16", "--max-iter", "0"],
+    ], ids=["grid-two-fields", "grid-five-fields", "grid-scale", "grid-negative-beta",
+            "pgd-max-iter-0", "negative-beta", "trials-0", "bench-max-iter-0"])
+    def test_bad_argument_value_is_usage_error(self, hsc_config, tmp_path, monkeypatch,
+                                               capsys, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("PGF grid computed before the arguments were checked")
+
+        monkeypatch.setattr(cli, "full_measurements", no_work)
+        monkeypatch.setattr(cli, "sampled_measurements", no_work)
+        assert main(argv + ["--config", hsc_config, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("change, key", [
+        ({"model": None}, "model"),
+        ({"rates": None}, "rates"),
+        ({"t": None}, "'t'"),
+        ({"init": None}, "init"),
+        ({"rates": {"rho": 0.125, "mu": 0.147}}, "nu"),
+        ({"rates": {"rho": 0.125, "nu": "fast", "mu": 0.147}}, "nu"),
+    ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate"])
+    def test_config_schema_error_is_usage_error(self, tmp_path, capsys, change, key):
+        cfg = {k: v for k, v in {**HSC_CONFIG, **change}.items() if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--n", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the oracle needs it.
+    code = "import sys, branchcs.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# The CLI contract: each manifest's keys in order, and the stdout line.
+CONTRACT = {
+    "solve": (["--n", "16"],
+              ["n", "pgf_evals", "outputs", "total_mass"],
+              r"wrote {out}/S_full\.bpm \(total mass \d+\.\d{{6}}\)"),
+    "recover": (["--n", "16", "--max-iter", "20", "--truth", "{truth}"],
+                ["n", "m", "seed", "solver", "solver_config", "pgf_evals", "outputs",
+                 "metrics", "iterations", "converged"],
+                r"wrote {out}/S_hat\.bpm: \d+ iterations, converged=(True|False), "
+                r"eps_rel_l2=\S+"),
+    "sweep": (["--n", "16", "--param", "beta", "--grid", "0.1,1", "--max-iter", "20"],
+              ["n", "m", "seed", "param", "grid", "outputs"],
+              r"wrote {out}/sweep_beta\.csv \(2 points\)"),
+    "bench": (["--n-list", "16", "--trials", "1", "--max-iter", "20"],
+              ["n_list", "trials", "outputs"],
+              r"wrote {out}/bench\.csv"),
+    "oracle": (["--n-trunc", "6"],
+               ["n_trunc", "truncation_mass", "outputs"],
+               r"wrote {out}/S_oracle\.bpm \(truncation mass \S+\)"),
+}
+
+
+@pytest.mark.parametrize("command", list(CONTRACT))
+def test_manifest_keys_and_stdout_line(tmp_path, hsc_config, capsys, command):
+    flags, fields, line = CONTRACT[command]
+    out = tmp_path / "out"
+    truth = tmp_path / "truth.bpm"
+    write_matrix(truth, np.eye(16))
+    argv = [command, "--config", hsc_config, "--out-dir", str(out)]
+    assert main(argv + [f.format(truth=truth) for f in flags]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config", *fields, "tool_version", "timestamp"]
+    assert manifest["command"] == command
+    stdout = capsys.readouterr().out
+    assert re.fullmatch(line.format(out=re.escape(str(out))) + "\n", stdout)

@@ -94,3 +94,5 @@ class TestPgdRecovery:
             PgdConfig(lam=1.0, l0=0.0)
         with pytest.raises(ValueError):
             PgdConfig(lam=1.0, c=1.0)
+        with pytest.raises(ValueError):
+            PgdConfig(lam=1.0, max_iter=0)
