@@ -5,7 +5,9 @@ subject to U = Z.  The U-subproblem diagonalizes in the Fourier domain, and
 its diagonal is beta off J x J, so each sweep needs IFFT2 only on J x J and
 FFT2 only of a block supported on J x J: N + M one-dimensional transforms
 each way instead of 2N, plus elementwise work.  No matrix products or
-inversions anywhere.
+inversions anywhere, and no BLAS calls.  The row transforms and the
+elementwise work run in fixed row blocks, on a pool of threads if asked; the
+blocks do not depend on the thread count, so neither does any result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import MeasurementSet, embed_measurements, embedded_fft2, sampled_ifft2
+from .grid import (
+    BlockPool,
+    MeasurementSet,
+    Subgrid,
+    block_pool,
+    embed_measurements,
+    embedded_fft2,
+    sampled_ifft2,
+)
 
 __all__ = [
     "AdmmConfig",
@@ -72,12 +82,46 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Primal iterate U, split variable Z, scaled dual Y, iteration counter."""
+    """Primal iterate U, split variable Z, scaled dual Y, iteration counter.
+
+    iterate keeps in sweep what the sweeps of a run share, so that the next
+    sweep from this state does not derive it again; it is rederived when
+    embedded_b, mhat or beta is a different object or value.
+    """
 
     u: np.ndarray
     z: np.ndarray
     y: np.ndarray
     k: int = 0
+    sweep: _SweepConstants | None = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepConstants:
+    """What every sweep of a run shares: the Subgrid of J (read off the diagonal
+    of M_hat) and B / (beta + 1) on J x J, with the inputs they came from."""
+
+    embedded_b: np.ndarray
+    mhat: np.ndarray
+    beta: float
+    sub: Subgrid
+    b_j: np.ndarray
+
+    @classmethod
+    def of(cls, state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
+           beta: float) -> _SweepConstants:
+        """state's constants if they came from these inputs, else new ones."""
+        if embedded_b.shape != state.z.shape:
+            raise ShapeMismatch("embedded_b and state grids must have equal shape")
+        known = state.sweep
+        if (known is not None and known.embedded_b is embedded_b and known.mhat is mhat
+                and known.beta == beta):
+            return known
+        n = embedded_b.shape[0]
+        j = np.flatnonzero(np.ravel(mhat)[::n + 1] > beta)  # the diagonal of M_hat as N x N
+        # with a reciprocal: complex / real is slow
+        b_j = embedded_b.take(j, 0).take(j, 1) * (1.0 / (beta + 1.0))
+        return cls(embedded_b, mhat, beta, Subgrid(n, j), b_j)
 
 
 @dataclass(frozen=True)
@@ -128,20 +172,21 @@ def build_mhat(n: int, indices, beta: float) -> np.ndarray:
     return beta + np.kron(p, p)
 
 
-def soft_threshold(v, tau: float):
+def soft_threshold(v, tau: float, out: np.ndarray | None = None):
     """Complex magnitude shrinkage: the prox of tau * ||.||_1.
 
     v * max(1 - tau/|v|, 0): shrinks |v| by tau preserving phase; reduces to
     sign(v) max(|v|-tau, 0) on reals.  Entries with |v| = 0 map to 0.
+    Written into out when given, else into a new array.
     """
     v = np.asarray(v)
     if tau == 0:
-        return v.copy()
+        return np.positive(v, out=out)  # a copy
     # 1 - tau / max(|v|, tau) is exactly 0 where |v| <= tau, and never divides by 0
     scale = np.abs(v, out=np.empty(v.shape))  # an array even for 0-d v
     np.maximum(scale, tau, out=scale)
     np.divide(tau, scale, out=scale)
-    return v * np.subtract(1.0, scale, out=scale)
+    return np.multiply(v, np.subtract(1.0, scale, out=scale), out=out)
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
@@ -153,49 +198,83 @@ def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
     U+ = Z - Y / beta + FFT2(C) with C = (B + W_J) / (beta + 1) - W_J / beta
     on J x J and zero elsewhere: only the J x J block of W is computed.
     """
-    return _fft2_c(state, embedded_b, mhat, beta) + state.z - state.y * (1.0 / beta)
+    const = _SweepConstants.of(state, embedded_b, mhat, beta)
+    c = _c_block(state, const, None, np.empty_like(state.z))
+    return _fft2(c, const.sub, const.sub.n) + state.z - state.y * (1.0 / beta)
 
 
-def _fft2_c(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
-            beta: float) -> np.ndarray:
-    """FFT2(C) of u_update, the only part of the sweep that transforms."""
-    n = embedded_b.shape[0]
-    if embedded_b.shape != state.z.shape:
-        raise ShapeMismatch("embedded_b and state grids must have equal shape")
-    j = np.flatnonzero(np.ravel(mhat)[::n + 1] > beta)  # the diagonal of M_hat as N x N
-    rhs = state.z * beta
-    rhs -= state.y
-    w = _ifft2(rhs, j)
-    # C = B / (beta + 1) - W_J / (beta (beta + 1)), with reciprocals: complex / real is slow
-    c = embedded_b.take(j, 0).take(j, 1) * (1.0 / (beta + 1.0)) - w * (1.0 / (beta * (beta + 1.0)))
-    return _fft2(c, j, n)
+def _c_block(state: AdmmState, const: _SweepConstants, pool: BlockPool | None,
+             work: np.ndarray) -> np.ndarray:
+    """The J x J block C of u_update, with rows of beta Z - Y formed in work, an
+    N x N scratch grid; the sweep's only inverse transform."""
+    beta = const.beta
+
+    def rhs_rows(r):  # rows r of beta Z - Y
+        rows = np.multiply(state.z[r], beta, out=work[r])
+        rows -= state.y[r]
+        return rows
+
+    w = _ifft2(rhs_rows, const.sub, pool)
+    # C = B / (beta + 1) - W_J / (beta (beta + 1))
+    return const.b_j - w * (1.0 / (beta * (beta + 1.0)))
+
+
+def _sum_squares(a: np.ndarray) -> float:
+    """Sum of |a|^2 over a 2-d float64 or complex128 array whose rows are
+    contiguous, without BLAS (np.vdot calls it, and then its idle worker
+    threads spin against the sweep's)."""
+    f = a.view(np.float64)  # a complex entry is its (re, im) pair
+    return float(np.einsum("ij,ij->", f, f))
 
 
 def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
-            cfg: AdmmConfig) -> tuple[AdmmState, ResidualRecord]:
-    """One full ADMM sweep; returns the new state and its residual record."""
-    beta = cfg.beta
-    v = _fft2_c(state, embedded_b, mhat, beta)
-    v += state.z  # V = U+ + Y / beta, the prox argument
-    u = state.y * (-1.0 / beta)
-    u += v  # U+ as u_update returns it
-    z = soft_threshold(v, cfg.lam / beta)
-    y = u - z  # the primal residual r, turned into Y + beta r below
-    r_norm = math.sqrt(np.vdot(y, y).real)
-    y *= beta
-    y += state.y
-    dz = np.subtract(z, state.z, out=v)
-    s_norm = beta * math.sqrt(np.vdot(dz, dz).real)
+            cfg: AdmmConfig, pool: BlockPool | None = None) -> tuple[AdmmState, ResidualRecord]:
+    """One full ADMM sweep; returns the new state and its residual record.
+
+    The row transforms and the elementwise work run row block by row block,
+    on pool's threads if given; the work on a block follows as soon as its
+    rows of FFT2(C) are made.  The blocks do not depend on the thread count
+    and their sums of squares are added in block order, so the result is the
+    same with any pool.  The input state is not modified.
+    """
+    const = _SweepConstants.of(state, embedded_b, mhat, cfg.beta)
+    out = tuple(np.empty_like(state.z) for _ in range(3))
+    return _sweep(state, const, cfg, pool, out, np.empty_like(state.z))
+
+
+def _sweep(state: AdmmState, const: _SweepConstants, cfg: AdmmConfig,
+           pool: BlockPool | None, out: tuple, work: np.ndarray) -> tuple[AdmmState, ResidualRecord]:
+    """iterate, writing the new U, Z and Y into the three N x N arrays out and
+    using work as scratch; none of them may be state's."""
+    beta, tau = cfg.beta, cfg.lam / cfg.beta
+    c = _c_block(state, const, pool, work)
+    u, z, y = out
+
+    def tail(r, v):  # v: rows r of FFT2(C), overwritten
+        z_old, y_old = state.z[r], state.y[r]
+        v += z_old  # V = U+ + Y / beta, the prox argument
+        ur, zr, yr = u[r], z[r], y[r]
+        np.multiply(y_old, -1.0 / beta, out=ur)
+        ur += v  # U+ as u_update returns it
+        soft_threshold(v, tau, out=zr)
+        np.subtract(ur, zr, out=yr)  # the primal residual r, turned into Y + beta r below
+        rr = _sum_squares(yr)
+        yr *= beta
+        yr += y_old
+        dz = np.subtract(zr, z_old, out=v)
+        return rr, _sum_squares(dz), _sum_squares(ur), _sum_squares(zr), _sum_squares(yr)
+
+    partial = _fft2(c, const.sub, const.sub.n, pool, tail, work)
+    rr, dd, uu, zz, yy = map(sum, zip(*partial))  # each in block order
     k = state.k + 1
-    uu, zz, yy = np.vdot(u, u).real, np.vdot(z, z).real, np.vdot(y, y).real
     # finite sums of squares mean finite entries; if not, test exactly (it may be overflow)
     if not math.isfinite(uu + zz) and not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
         raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
     n = u.shape[0]
-    rec = ResidualRecord(k=k, r_norm=r_norm, s_norm=s_norm,
+    rec = ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=beta * math.sqrt(dd),
                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
-    return AdmmState(u=u, z=z, y=y, k=k), rec
+    return AdmmState(u=u, z=z, y=y, k=k, sweep=const), rec
 
 
 def residual_check(rec: ResidualRecord) -> bool:
@@ -203,13 +282,16 @@ def residual_check(rec: ResidualRecord) -> bool:
     return rec.r_norm <= rec.eps_pri and rec.s_norm <= rec.eps_dual
 
 
-def recover(ms: MeasurementSet, cfg: AdmmConfig) -> SolveReport:
-    """Run ADMM from zero initialization until the stopping criterion or max_iter."""
-    return _run(ms, cfg)
+def recover(ms: MeasurementSet, cfg: AdmmConfig, threads: int = 1) -> SolveReport:
+    """Run ADMM from zero initialization until the stopping criterion or max_iter.
+
+    threads sets the worker threads of the sweep; the result does not depend on it.
+    """
+    return _run(ms, cfg, threads)
 
 
 def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
-                     target: float) -> SolveReport:
+                     target: float, threads: int = 1) -> SolveReport:
     """Run ADMM until the recovery error against s_true drops to target.
 
     Benchmark protocol for solver comparisons at matched accuracy: iterate
@@ -217,12 +299,12 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
     The converged flag keeps the same meaning as in recover (stopping-rule
     satisfied), independent of whether the error target was reached.
     """
-    true_norm = np.linalg.norm(s_true)  # rel_l2_error, with the fixed norm taken once
-    return _run(ms, cfg,
-                stop=lambda u: np.linalg.norm(np.real(u) / ms.n**2 - s_true) / true_norm <= target)
+    true_ss = _sum_squares(np.asarray(s_true, dtype=float))  # rel_l2_error's, taken once
+    return _run(ms, cfg, threads, stop=lambda u: math.sqrt(
+        _sum_squares(np.real(u) / ms.n**2 - s_true) / true_ss) <= target)
 
 
-def _run(ms: MeasurementSet, cfg: AdmmConfig, stop=None) -> SolveReport:
+def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, stop=None) -> SolveReport:
     """Sweeps from zero until stop(U), or without stop until the stopping rule holds;
     converged reports whether the stopping rule held at any sweep."""
     n = ms.n
@@ -230,18 +312,25 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, stop=None) -> SolveReport:
     mhat = build_mhat(n, ms.indices, cfg.beta)
     zeros = np.zeros((n, n), dtype=complex)
     state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
+    const = _SweepConstants.of(state, embedded_b, mhat, cfg.beta)
+    # Each sweep writes into the arrays of the state two sweeps back, which
+    # nothing reads any more, and into one scratch grid: fresh full grids
+    # every sweep cost page faults.
+    spare, work = tuple(np.empty_like(zeros) for _ in range(3)), np.empty_like(zeros)
     history: list[ResidualRecord] = []
     converged = False
-    start = time.perf_counter()
-    for _ in range(cfg.max_iter):
-        state, rec = iterate(state, embedded_b, mhat, cfg)
-        history.append(rec)
-        first = history[0]
-        converged = converged or (residual_check(rec)
-                                  and rec.r_norm <= cfg.min_drop * first.r_norm
-                                  and rec.s_norm <= cfg.min_drop * first.s_norm)
-        if stop(state.u) if stop is not None else converged:
-            break
+    with block_pool(threads, n) as pool:
+        start = time.perf_counter()
+        for _ in range(cfg.max_iter):
+            new, rec = _sweep(state, const, cfg, pool, spare, work)
+            spare, state = (state.u, state.z, state.y), new
+            history.append(rec)
+            first = history[0]
+            converged = converged or (residual_check(rec)
+                                      and rec.r_norm <= cfg.min_drop * first.r_norm
+                                      and rec.s_norm <= cfg.min_drop * first.s_norm)
+            if stop(state.u) if stop is not None else converged:
+                break
     return SolveReport.from_iterate(state.u, history, converged, start)
 
 

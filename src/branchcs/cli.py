@@ -22,6 +22,7 @@ from . import __version__, admm, matio, pgd
 from .errors import BranchCSError
 from .grid import (
     MeasurementSet,
+    check_grid_size,
     default_m,
     full_measurements,
     invert_full,
@@ -112,7 +113,7 @@ def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
     solve, solver_cfg = _solver(args, model.kind, n, m)
     indices = sample_indices(n, m, args.seed)
     ms = sampled_measurements(model, n, indices, seed=args.seed)
-    report = solve(ms, solver_cfg)
+    report = solve(ms, solver_cfg, args.threads)
     s_path = _write_matrix(out_dir / "S_hat", report.s_hat, args.format)
     msg = f"wrote {s_path}: {report.iterations} iterations, converged={report.converged}"
     metrics = {}
@@ -158,7 +159,7 @@ def cmd_sweep(args, model, out_dir: Path) -> tuple[dict, str]:
     rows = []
     for value, solver_cfg in zip(values, configs):
         try:
-            report = admm.recover(ms, solver_cfg)
+            report = admm.recover(ms, solver_cfg, args.threads)
             rows.append([value, rel_l2_error(report.s_hat, s_true),
                          report.iterations, round(report.wall_time, 3)])
         except BranchCSError as exc:
@@ -177,6 +178,8 @@ def cmd_bench(args, model, out_dir: Path) -> tuple[dict, str]:
     beats that error, so wall times are compared at equal accuracy.
     """
     n_list = [int(x) for x in args.n_list.split(",")]
+    for n in n_list:
+        check_grid_size(n)
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rows = []
@@ -187,9 +190,9 @@ def cmd_bench(args, model, out_dir: Path) -> tuple[dict, str]:
         s_true, subgrids = _exact_and_subgrids(model, n, m, range(args.trials))
         walls, errs = {"pgd": [], "admm": []}, {"pgd": [], "admm": []}
         for ms in subgrids:
-            p_rep = pgd.pgd_recover(ms, p_cfg)
+            p_rep = pgd.pgd_recover(ms, p_cfg, args.threads)
             p_err = rel_l2_error(p_rep.s_hat, s_true)
-            a_rep = admm.recover_to_error(ms, a_cfg, s_true, target=p_err)
+            a_rep = admm.recover_to_error(ms, a_cfg, s_true, target=p_err, threads=args.threads)
             a_err = rel_l2_error(a_rep.s_hat, s_true)
             for solver, rep, err in (("pgd", p_rep, p_err), ("admm", a_rep, a_err)):
                 walls[solver].append(rep.wall_time)
@@ -220,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--format", choices=["bin", "csv"], default="bin")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (accepted for compatibility)")
+                        help="worker threads for the solvers' transforms and sweeps "
+                             "(results do not depend on it)")
     grid_size = argparse.ArgumentParser(add_help=False)
     grid_size.add_argument("--n", type=int, required=True)
     sampling = argparse.ArgumentParser(add_help=False)
@@ -263,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         with open(args.config) as fh:
             cfg = json.load(fh)
         model = model_from_config(cfg)

@@ -8,6 +8,9 @@ here in invert_full and in the ADMM module's final rescale.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,13 @@ from .models import DEFAULT_ODE, ModelSpec, OdeConfig, pgf_many
 
 __all__ = [
     "MeasurementSet",
+    "BLOCK_ELEMENTS",
+    "check_grid_size",
+    "row_blocks",
+    "BlockPool",
+    "block_pool",
+    "map_blocks",
+    "Subgrid",
     "full_measurements",
     "invert_full",
     "sampled_ifft2",
@@ -51,6 +61,12 @@ class MeasurementSet:
         return len(self.indices)
 
 
+def check_grid_size(n: int) -> None:
+    """Raise ValueError unless n is a power of two >= 2, the grid sizes the FFT layout needs."""
+    if n < 2 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 2, got {n}")
+
+
 def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig,
                out: np.ndarray | None = None) -> np.ndarray:
     """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols.
@@ -58,8 +74,7 @@ def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig,
     Columns share s2, so each column is one batched ODE solve.  Written into
     out (len(rows) x len(cols)) when given, else into a new array.
     """
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two >= 2, got {n}")
+    check_grid_size(n)
     s1 = np.exp(2j * np.pi * np.asarray(rows) / n)
     b = np.empty((len(s1), len(cols)), dtype=complex) if out is None else out
     for col, v in enumerate(cols):
@@ -91,29 +106,161 @@ def invert_full(b_full: np.ndarray) -> np.ndarray:
     return np.real(np.fft.fft2(b_full)) / n**2
 
 
-def sampled_ifft2(x, indices=None) -> np.ndarray:
-    """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None."""
+# Row blocks of the restricted transforms hold about this many grid entries
+# (2**15 complex values, 512 KB, so a block's row transform and the work done
+# on it stay in cache).  The partition depends only on the grid, never on the
+# number of workers, so whatever is reduced block by block adds up in the
+# same order for any thread count.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of an n x n grid, of about BLOCK_ELEMENTS entries each;
+    the last may be short."""
+    step = max(1, BLOCK_ELEMENTS // n)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+class BlockPool:
+    """Helper threads that, with the calling thread, work through row blocks.
+
+    Each thread takes the next block not yet taken until none is left, so a
+    thread the host stalls holds up one block and the others go on; there is
+    no hand-off per block, only one start and one join per map.
+    """
+
+    def __init__(self, helpers: int):
+        self.helpers = helpers
+        self._executor = ThreadPoolExecutor(helpers)
+
+    def map(self, fn, blocks: list[slice]) -> list:
+        """[fn(b) for b in blocks], in block order."""
+        results = [None] * len(blocks)
+        lock = threading.Lock()
+        untaken = iter(range(len(blocks)))
+
+        def drain():
+            while True:
+                with lock:
+                    i = next(untaken, None)
+                if i is None:
+                    return
+                results[i] = fn(blocks[i])
+
+        helpers = [self._executor.submit(drain) for _ in range(self.helpers)]
+        try:
+            drain()
+        finally:
+            for helper in helpers:
+                helper.result()  # waits, and raises what the helper raised
+        return results
+
+    def close(self):
+        self._executor.shutdown()
+
+
+@contextmanager
+def block_pool(threads: int, n: int):
+    """A BlockPool that, with the caller, runs min(threads, row blocks of an n x n
+    grid) threads, or None when that is 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    helpers = min(threads, len(row_blocks(n))) - 1
+    if helpers == 0:
+        yield None
+        return
+    pool = BlockPool(helpers)
+    try:
+        yield pool
+    finally:
+        pool.close()
+
+
+def map_blocks(fn, blocks: list[slice], pool: BlockPool | None = None) -> list:
+    """[fn(b) for b in blocks], on pool's threads and the caller's when a pool is given."""
+    return [fn(b) for b in blocks] if pool is None else pool.map(fn, blocks)
+
+
+class Subgrid:
+    """An index set J of an n x n grid and what the restricted transforms derive
+    from it: the row blocks and the flat positions of columns J in a row block.
+    Made once and passed as indices, it saves rederiving them on every call."""
+
+    def __init__(self, n: int, indices):
+        self.n = n
+        self.j = np.asarray(indices, dtype=int)
+        if self.j.ndim != 1 or (self.j.size and not 0 <= self.j.min() <= self.j.max() < n):
+            raise ValueError(f"indices must be a 1-d array of values in [0, {n})")
+        self.blocks = row_blocks(n)
+        self.flat = n * np.arange(self.blocks[0].stop)[:, None] + self.j
+
+    @classmethod
+    def of(cls, n: int | None, indices) -> Subgrid:
+        """indices itself if it is a Subgrid, else the Subgrid of it in an n x n grid."""
+        return indices if isinstance(indices, cls) else cls(n, indices)
+
+
+def sampled_ifft2(x, indices=None, pool: BlockPool | None = None) -> np.ndarray:
+    """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None.
+
+    indices is J, or a Subgrid of it.  x is an N x N array, or (with a
+    Subgrid, which gives N) a function returning the rows x[r] of one for a
+    row slice r as an array the transform may overwrite, so a caller can
+    form x block by block.  The row transforms run in row blocks, on
+    pool's threads if given.
+    """
     if indices is None:
         return np.fft.ifft2(x)
-    j = np.asarray(indices, dtype=int)
-    cols = np.take(np.fft.ifft(x, axis=1), j, axis=1)
-    return np.fft.ifft(cols, axis=0, out=cols)[j]
+    if callable(x) and not isinstance(indices, Subgrid):
+        raise ValueError("sampled_ifft2 of a row function needs a Subgrid for the grid size")
+    sub = Subgrid.of(None if callable(x) else len(x), indices)
+    cols = np.empty((sub.n, len(sub.j)), dtype=complex)
+
+    def row_transform(r):
+        if callable(x):
+            rows = x(r)
+            np.fft.ifft(rows, axis=1, out=rows)
+        else:
+            rows = np.fft.ifft(x[r], axis=1)
+        # gather columns J; the Subgrid checked them, so clip never clips
+        np.take(rows.reshape(-1), sub.flat[:len(rows)], out=cols[r], mode="clip")
+
+    map_blocks(row_transform, sub.blocks, pool)
+    return np.fft.ifft(cols, axis=0, out=cols)[sub.j]
 
 
-def embedded_fft2(c, indices=None, n: int | None = None) -> np.ndarray:
+def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None,
+                  each_block=None, out: np.ndarray | None = None):
     """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
-    plain fft2 if indices is None."""
+    plain fft2 if indices is None.
+
+    indices is J, or a Subgrid of it (which gives n).  The result is written
+    into out if given, else into a new array, by row blocks, on pool's
+    threads if given.  With each_block, each_block(r, rows) is called on the
+    rows r of the result as soon as they are made (it may overwrite them),
+    and the list of its returns, in block order, is returned instead of the
+    grid.
+    """
     if indices is None:
         return np.fft.fft2(c)
-    if n is None:
+    if n is None and not isinstance(indices, Subgrid):
         raise ValueError("embedded_fft2 needs the grid size n when indices are given")
-    j = np.asarray(indices, dtype=int)
-    cols = np.zeros((n, len(j)), dtype=complex)
-    cols[j] = c
-    out = np.zeros((n, n), dtype=complex)
-    # flat-index scatter into columns J: about twice as fast as out[:, j] = ...
-    np.put(out, np.add.outer(n * np.arange(n), j), np.fft.fft(cols, axis=0))
-    return np.fft.fft(out, axis=1, out=out)
+    sub = Subgrid.of(n, indices)
+    n = sub.n
+    cols = np.zeros((n, len(sub.j)), dtype=complex)
+    cols[sub.j] = c
+    cols = np.fft.fft(cols, axis=0, out=cols)
+    out = np.empty((n, n), dtype=complex) if out is None else out
+
+    def row_transform(r):
+        rows = out[r]
+        rows.fill(0)
+        rows.reshape(-1)[sub.flat[:len(rows)]] = cols[r]  # scatter into columns J
+        np.fft.fft(rows, axis=1, out=rows)
+        return None if each_block is None else each_block(r, rows)
+
+    results = map_blocks(row_transform, sub.blocks, pool)
+    return out if each_block is None else results
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

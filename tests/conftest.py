@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from branchcs import grid
 from branchcs.grid import full_measurements, invert_full
 from branchcs.models import ModelSpec, RatesBDS, RatesHSC
 
@@ -38,3 +39,10 @@ def bds64_full(bds_model) -> np.ndarray:
 @pytest.fixture(scope="session")
 def bds64_truth(bds64_full) -> np.ndarray:
     return invert_full(bds64_full)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Row blocks of 96 entries: an N=32 grid splits into 11 blocks of 3 rows, the last of 2."""
+    monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 96)
+    assert [b.stop - b.start for b in grid.row_blocks(32)] == [3] * 10 + [2]

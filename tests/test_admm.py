@@ -1,11 +1,16 @@
 """ADMM solver: worked example, prox, dense-oracle equivalence, convergence."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchcs.admm as admm
+from branchcs import grid
 from branchcs.admm import (
     AdmmConfig,
     AdmmState,
@@ -144,10 +149,13 @@ class TestUpdateMechanics:
 
         monkeypatch.setattr(admm, "_fft2", counting_fft2)
         monkeypatch.setattr(admm, "_ifft2", counting_ifft2)
+        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)  # three row blocks, so 2 threads run
         ms, _ = toy_measurements(8, 6, 0)
-        report = recover(ms, AdmmConfig(beta=0.1, lam=0.5, max_iter=17))
-        assert calls["fft2"] == report.iterations
-        assert calls["ifft2"] == report.iterations
+        for threads in (1, 2):
+            calls.update(fft2=0, ifft2=0)
+            report = recover(ms, AdmmConfig(beta=0.1, lam=0.5, max_iter=17), threads)
+            assert calls["fft2"] == report.iterations
+            assert calls["ifft2"] == report.iterations
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -210,6 +218,10 @@ class TestRecovery:
         target = 0.05
         report = recover_to_error(ms, cfg, truth, target=target)
         assert rel_l2_error(report.s_hat, truth) <= target
+        # it stops at the first sweep whose error reaches the target
+        before = recover(ms, dataclasses.replace(cfg, max_iter=report.iterations - 1))
+        assert before.iterations == report.iterations - 1
+        assert rel_l2_error(before.s_hat, truth) > target
 
     def test_converged_runs_satisfy_reported_tolerances(self):
         ms, _ = toy_measurements(64, 51, 2)
@@ -218,3 +230,104 @@ class TestRecovery:
         last = report.history[-1]
         assert last.r_norm <= last.eps_pri
         assert last.s_norm <= last.eps_dual
+
+
+class TestThreads:
+    """Row blocks fix the arithmetic, so the thread count cannot change a result."""
+
+    def test_recover_is_bit_identical_for_any_thread_count(self, small_blocks):
+        ms, truth = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=60)
+        reports = [recover(ms, cfg, threads) for threads in (1, 2, 3)]
+        to_error = [recover_to_error(ms, cfg, truth, target=0.1, threads=threads)
+                    for threads in (1, 2, 3)]
+        for runs in (reports, to_error):
+            for other in runs[1:]:
+                assert np.array_equal(other.s_hat, runs[0].s_hat)
+                assert other.history == runs[0].history
+                assert other.converged == runs[0].converged
+
+    def test_blocking_leaves_the_iterates_unchanged(self, monkeypatch):
+        # only the order of the sums of squares depends on the blocks
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=30, eps_abs=0.0, eps_rel=0.0)
+        whole = recover(ms, cfg)
+        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 96)
+        blocked = recover(ms, cfg, threads=2)
+        assert np.array_equal(blocked.s_hat, whole.s_hat)
+        for a, b in zip(blocked.history, whole.history):
+            assert a.r_norm == pytest.approx(b.r_norm, rel=1e-12)
+            assert a.s_norm == pytest.approx(b.s_norm, rel=1e-12)
+
+    def test_iterate_leaves_its_input_state_alone(self, small_blocks):
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0)
+        emb, mhat = embed_measurements(ms), build_mhat(32, ms.indices, cfg.beta)
+        zeros = np.zeros((32, 32), dtype=complex)
+        state, _ = iterate(AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy()),
+                           emb, mhat, cfg)
+        before = [a.copy() for a in (state.u, state.z, state.y)]
+        with grid.block_pool(2, 32) as pool:
+            iterate(state, emb, mhat, cfg, pool)
+        assert all(np.array_equal(a, b) for a, b in zip((state.u, state.z, state.y), before))
+
+    def test_kept_constants_follow_the_inputs(self):
+        # a state keeps what its sweeps share; other inputs must not reuse it
+        ms_a, _ = toy_measurements(16, 12, 0)
+        ms_b, _ = toy_measurements(16, 9, 1)
+        cfg = AdmmConfig(beta=0.1, lam=1.0)
+        zeros = np.zeros((16, 16), dtype=complex)
+        state, _ = iterate(AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy()),
+                           embed_measurements(ms_a), build_mhat(16, ms_a.indices, cfg.beta), cfg)
+        emb_b, mhat_b = embed_measurements(ms_b), build_mhat(16, ms_b.indices, cfg.beta)
+        kept, _ = iterate(state, emb_b, mhat_b, cfg)
+        fresh, _ = iterate(AdmmState(u=state.u, z=state.z, y=state.y, k=state.k), emb_b, mhat_b, cfg)
+        assert np.array_equal(kept.u, fresh.u) and np.array_equal(kept.y, fresh.y)
+
+    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
+        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)  # an 8 x 8 grid in 3 blocks
+        seen = set()
+
+        def record(block):
+            seen.add(threading.get_ident())
+            threading.Event().wait(0.01)  # hold the thread so the next block needs another
+            return block
+
+        with grid.block_pool(10**6, 8) as pool:
+            assert pool.helpers == 2  # with the calling thread, one thread per block
+            assert grid.map_blocks(record, grid.row_blocks(8), pool) == grid.row_blocks(8)
+        assert 1 <= len(seen) <= 3
+        with grid.block_pool(4, 2) as pool:  # one block: no pool at all
+            assert pool is None
+        with pytest.raises(ValueError):
+            with grid.block_pool(0, 8):
+                pass
+
+    def test_pool_takes_each_block_once_under_contention(self):
+        # more threads than cores and a tiny switch interval, so a lost update shows
+        blocks = [slice(i, i + 1) for i in range(300)]
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = grid.BlockPool(7)
+            try:
+                done = pool.map(lambda b: calls.append(b) or b, blocks)
+            finally:
+                pool.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert done == blocks
+        assert sorted(calls, key=lambda b: b.start) == blocks
+
+    def test_pool_raises_what_a_block_raised(self, monkeypatch):
+        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)
+
+        def fail_on_last(block):
+            if block.stop == 8:
+                raise ZeroDivisionError
+            return block
+
+        with grid.block_pool(3, 8) as pool:
+            with pytest.raises(ZeroDivisionError):
+                grid.map_blocks(fail_on_last, grid.row_blocks(8), pool)

@@ -94,6 +94,16 @@ class TestRecover:
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0 <= manifest["metrics"]["eps_rel_l2"] < 1.0
 
+    def test_thread_count_leaves_output_bytes_unchanged(self, tmp_path, hsc_config,
+                                                        small_blocks):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            assert main(["recover", "--config", hsc_config, "--out-dir", str(out),
+                         "--n", "32", "--m", "20", "--seed", "5", "--threads", threads]) == 0
+            outs.append((out / "S_hat.bpm").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_pgd_solver(self, tmp_path, hsc_config):
         out = tmp_path / "out"
         assert main(["recover", "--config", hsc_config, "--out-dir", str(out),
@@ -191,8 +201,11 @@ class TestExitCodes:
         ["recover", "--n", "16", "--beta", "-1"],
         ["bench", "--n-list", "16", "--trials", "0"],
         ["bench", "--n-list", "16", "--max-iter", "0"],
+        ["bench", "--n-list", "128,100"],
+        ["recover", "--n", "16", "--threads", "0"],
     ], ids=["grid-two-fields", "grid-five-fields", "grid-scale", "grid-negative-beta",
-            "pgd-max-iter-0", "negative-beta", "trials-0", "bench-max-iter-0"])
+            "pgd-max-iter-0", "negative-beta", "trials-0", "bench-max-iter-0",
+            "bench-n-not-power-of-two", "threads-0"])
     def test_bad_argument_value_is_usage_error(self, hsc_config, tmp_path, monkeypatch,
                                                capsys, argv):
         def no_work(*args, **kwargs):

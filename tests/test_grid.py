@@ -6,12 +6,15 @@ import pytest
 from branchcs.errors import MTooLarge, NonSquareGrid
 from branchcs.grid import (
     MeasurementSet,
+    Subgrid,
+    block_pool,
     default_m,
     embed_measurements,
     embedded_fft2,
     full_measurements,
     invert_full,
     rel_l2_error,
+    row_blocks,
     sample_indices,
     sampled_ifft2,
     sampled_measurements,
@@ -163,6 +166,36 @@ class TestRestrictedTransforms:
     def test_embedded_needs_grid_size(self):
         with pytest.raises(ValueError):
             embedded_fft2(np.ones((2, 2)), np.array([0, 1]))
+        with pytest.raises(ValueError):  # so does a sampled IFFT2 of a row function
+            sampled_ifft2(lambda r: np.ones((2, 2))[r], np.array([0, 1]))
+
+    def test_subgrid_rejects_indices_off_the_grid(self):
+        for bad in ([0, 4], [-1, 2], [[0, 1]]):
+            with pytest.raises(ValueError):
+                Subgrid(4, np.array(bad))
+
+    def test_blocked_and_threaded_forms_are_bit_identical(self, small_blocks):
+        # every form computes each row's transform alone, so all agree exactly
+        n, j = 32, np.array([30, 1, 7, 12, 19])
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        c = rng.normal(size=(len(j), len(j))) + 1j * rng.normal(size=(len(j), len(j)))
+        cols = np.zeros((n, len(j)), dtype=complex)
+        cols[j] = c
+        want_ifft = np.fft.ifft(np.fft.ifft(x, axis=1)[:, j], axis=0)[j]
+        want_fft = np.zeros((n, n), dtype=complex)
+        want_fft[:, j] = np.fft.fft(cols, axis=0)
+        want_fft = np.fft.fft(want_fft, axis=1)
+        sub = Subgrid(n, j)
+        with block_pool(3, n) as pool:
+            for p in (None, pool):
+                assert np.array_equal(sampled_ifft2(x, j, p), want_ifft)
+                assert np.array_equal(sampled_ifft2(lambda r: x[r].copy(), sub, p), want_ifft)
+                assert np.array_equal(embedded_fft2(c, j, n, p), want_fft)
+                assert np.array_equal(embedded_fft2(c, sub, None, p), want_fft)
+                blocks = embedded_fft2(c, sub, n, p, lambda r, rows: (r, rows.copy()))
+                assert [r for r, _ in blocks] == row_blocks(n)
+                assert np.array_equal(np.concatenate([rows for _, rows in blocks]), want_fft)
 
 
 def test_rel_l2_error():
