@@ -30,6 +30,7 @@ __all__ = [
     "full_measurements",
     "invert_full",
     "sampled_ifft2",
+    "column_ifft",
     "embedded_fft2",
     "sample_indices",
     "sampled_measurements",
@@ -199,47 +200,47 @@ class Subgrid:
         """indices itself if it is a Subgrid, else the Subgrid of it in an n x n grid."""
         return indices if isinstance(indices, cls) else cls(n, indices)
 
+    def gather(self, rows: np.ndarray, r: slice, cols: np.ndarray) -> None:
+        """Columns J of rows, the rows r of an n x n grid, into cols[r]."""
+        # the constructor checked J, so clip never clips
+        np.take(rows.reshape(-1), self.flat[:len(rows)], out=cols[r], mode="clip")
+
 
 def sampled_ifft2(x, indices=None, pool: BlockPool | None = None) -> np.ndarray:
     """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None.
 
-    indices is J, or a Subgrid of it.  x is an N x N array, or (with a
-    Subgrid, which gives N) a function returning the rows x[r] of one for a
-    row slice r as an array the transform may overwrite, so a caller can
-    form x block by block.  The row transforms run in row blocks, on
-    pool's threads if given.
+    indices is J, or a Subgrid of it.  The row transforms run in row blocks,
+    on pool's threads if given.
     """
     if indices is None:
         return np.fft.ifft2(x)
-    if callable(x) and not isinstance(indices, Subgrid):
-        raise ValueError("sampled_ifft2 of a row function needs a Subgrid for the grid size")
-    sub = Subgrid.of(None if callable(x) else len(x), indices)
+    sub = Subgrid.of(len(x), indices)
     cols = np.empty((sub.n, len(sub.j)), dtype=complex)
+    map_blocks(lambda r: sub.gather(np.fft.ifft(x[r], axis=1), r, cols), sub.blocks, pool)
+    return column_ifft(cols, sub)
 
-    def row_transform(r):
-        if callable(x):
-            rows = x(r)
-            np.fft.ifft(rows, axis=1, out=rows)
-        else:
-            rows = np.fft.ifft(x[r], axis=1)
-        # gather columns J; the Subgrid checked them, so clip never clips
-        np.take(rows.reshape(-1), sub.flat[:len(rows)], out=cols[r], mode="clip")
 
-    map_blocks(row_transform, sub.blocks, pool)
-    return np.fft.ifft(cols, axis=0, out=cols)[sub.j]
+def column_ifft(cols: np.ndarray, indices=None) -> np.ndarray:
+    """IFFT2(x)[J, J] from cols, the N x M row IFFTs of x gathered at columns J:
+    the M column transforms that finish sampled_ifft2.  indices is J, or a
+    Subgrid of it; None means every index.  cols is left as it is."""
+    w = np.fft.ifft(cols, axis=0)
+    return w if indices is None else w[Subgrid.of(len(cols), indices).j]
 
 
 def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None,
-                  each_block=None, out: np.ndarray | None = None):
+                  each_block=None, out=None):
     """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
     plain fft2 if indices is None.
 
-    indices is J, or a Subgrid of it (which gives n).  The result is written
-    into out if given, else into a new array, by row blocks, on pool's
-    threads if given.  With each_block, each_block(r, rows) is called on the
-    rows r of the result as soon as they are made (it may overwrite them),
-    and the list of its returns, in block order, is returned instead of the
-    grid.
+    indices is J, or a Subgrid of it (which gives n).  The rows of the result
+    are made row block by row block, on pool's threads if given, in out: an
+    n x n array, or a function returning for a row slice r a (len(r), n)
+    array to make those rows in (so a caller can keep one block per thread);
+    without out, in a new n x n array.  With each_block, each_block(r, rows)
+    is called on the rows r of the result as soon as they are made (it may
+    overwrite them), and the list of its returns, in block order, is
+    returned instead of the grid.
     """
     if indices is None:
         return np.fft.fft2(c)
@@ -250,10 +251,12 @@ def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None 
     cols = np.zeros((n, len(sub.j)), dtype=complex)
     cols[sub.j] = c
     cols = np.fft.fft(cols, axis=0, out=cols)
-    out = np.empty((n, n), dtype=complex) if out is None else out
+    if out is None:
+        out = np.empty((n, n), dtype=complex)
+    rows_of = out if callable(out) else out.__getitem__
 
     def row_transform(r):
-        rows = out[r]
+        rows = rows_of(r)
         rows.fill(0)
         rows.reshape(-1)[sub.flat[:len(rows)]] = cols[r]  # scatter into columns J
         np.fft.fft(rows, axis=1, out=rows)

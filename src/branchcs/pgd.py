@@ -3,17 +3,19 @@
 Solves min 0.5 * N^2 ||restrict_J(IFFT2(S)) - B||^2 + lambda ||S||_1 with
 momentum k/(k+3) and a backtracking line search; shares the measurement
 bookkeeping and soft-threshold prox with the ADMM module so both solvers
-target the identical objective.
+target the identical objective.  Like the ADMM sweep, an iteration calls no
+BLAS: its norms and inner products are einsum sums.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import SolveReport, soft_threshold
+from .admm import SolveReport, _real_inner, _sum_squares, soft_threshold
 from .errors import NonFinite, ShapeMismatch
 from .grid import BlockPool, MeasurementSet, block_pool, embedded_fft2, sampled_ifft2
 
@@ -67,7 +69,7 @@ def _value_and_gradient(s: np.ndarray, ms: MeasurementSet, gradient: bool = True
                         pool: BlockPool | None = None):
     """Smooth value and, unless gradient is False, its gradient from one residual."""
     resid = forward(s, ms, pool) - ms.b
-    value = float(0.5 * ms.n**2 * np.linalg.norm(resid) ** 2)
+    value = 0.5 * ms.n**2 * _sum_squares(resid)
     return value, (_fft2(resid, ms.indices, ms.n, pool) if gradient else None)
 
 
@@ -91,13 +93,13 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig, threads: int = 1) -> SolveRe
             while True:
                 cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
                 diff = cand - y
-                quad = f_y + np.real(np.vdot(g, diff)) + 0.5 * l_cur * np.linalg.norm(diff) ** 2
+                quad = f_y + _real_inner(g, diff) + 0.5 * l_cur * _sum_squares(diff)
                 if smooth_value(cand, ms, pool) <= quad + 1e-12 * max(1.0, abs(quad)):
                     break
                 l_cur *= cfg.c
             if not np.all(np.isfinite(cand)):
                 raise NonFinite(f"non-finite PGD iterate at k={k}")
-            rel = float(np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0))
+            rel = math.sqrt(_sum_squares(cand - s_cur)) / max(math.sqrt(_sum_squares(s_cur)), 1.0)
             history.append(PgdRecord(k=k, rel_change=rel, l_used=l_cur))
             s_prev, s_cur = s_cur, cand
             if rel < cfg.tol:

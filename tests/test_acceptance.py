@@ -6,7 +6,6 @@ log doubles as a calibration record.
 
 import math
 import statistics
-import time
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from branchcs.grid import (
     invert_full,
     rel_l2_error,
     sample_indices,
+    sampled_measurements,
 )
 from branchcs.models import ModelSpec, pgf
 from branchcs.oracle import oracle_transition_matrix
@@ -137,8 +137,8 @@ def test_criterion_5_robustness_sweep(hsc64_full, hsc64_truth):
 
 def test_criterion_6_solver_ordering_and_scaling(hsc_model):
     """ADMM beats FISTA wall time at matched-or-better error; per-sweep cost
-    scales like N^2 log N (fitted exponent in [1.8, 2.6])."""
-    sweep_args = {}
+    scales like the sweep's N (N + M) log N, which is N^2 log N for M << N
+    (fitted exponent against it in [0.82, 1.18])."""
     for n in (64, 128, 256):
         full = full_measurements(hsc_model, n)
         s_true = invert_full(full)
@@ -158,31 +158,35 @@ def test_criterion_6_solver_ordering_and_scaling(hsc_model):
         assert a_med < p_med, f"N={n}: ADMM {a_med}s not faster than PGD {p_med}s"
         print(f"\ncriterion 6 at N={n}: ADMM median {a_med:.4f}s < PGD median "
               f"{p_med:.4f}s at matched error")
-        ms = _measurements(full, n, m, seed=0)
-        cfg = admm_defaults("hsc", n, m)
-        sweep_args[n] = (embed_measurements(ms), build_mhat(n, ms.indices, cfg.beta), cfg)
-    # Per-sweep cost from a zero state.  The sizes alternate over five rounds and
-    # each keeps its median: on a shared host the speed can drift 2x within
-    # seconds, and sizes timed once, tens of seconds apart, moved the fit by 0.3.
-    rounds = {n: [] for n in sweep_args}
+    # Per-sweep cost of the loop recover runs, with its stopping rule off: it
+    # makes max_iter sweeps, then the last once more to write U.  A sweep is N
+    # row and M column transforms each way plus O(N^2) elementwise work, so
+    # its cost model is N (N + M) log2 N; M / N falls from 0.6 to 0.17 over
+    # these sizes.  N = 64 is left out: its sweep is bound by call overhead.
+    # The sizes alternate over five rounds and each keeps its median: on a
+    # shared host the speed can drift 2x within seconds.
+    runs = {}
+    for n in (128, 256, 512):
+        m = default_m(n, DEFAULT_SPARSITY_K)
+        ms = sampled_measurements(hsc_model, n, sample_indices(n, m, 0), seed=0)
+        cfg = admm_defaults("hsc", n, m, max_iter=max(50, 12800 // n), eps_abs=0.0, eps_rel=0.0)
+        runs[n] = (ms, cfg)
+    rounds = {n: [] for n in runs}
     for _ in range(5):
-        for n, (emb, mhat, cfg) in sweep_args.items():
-            zeros = np.zeros((n, n), dtype=complex)
-            state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
-            reps = max(50, 12800 // n)
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                state, _ = iterate(state, emb, mhat, cfg)
-            rounds[n].append((time.perf_counter() - t0) / reps)
+        for n, (ms, cfg) in runs.items():
+            report = recover(ms, cfg)
+            assert report.iterations == cfg.max_iter
+            rounds[n].append(report.wall_time / (report.iterations + 1))
     sweep_times = {n: statistics.median(times) for n, times in rounds.items()}
     print("criterion 6 sweep ms: "
           + ", ".join(f"N={n} {t * 1e3:.3f}" for n, t in sweep_times.items()))
-    logs_n = np.log2(list(sweep_times.keys()))
-    logs_t = np.log2(list(sweep_times.values()))
-    exponent = float(np.polyfit(logs_n, logs_t, 1)[0])
-    assert 1.8 <= exponent <= 2.6, f"fitted exponent {exponent}"
-    print(f"PASS criterion 6: fitted per-sweep scaling exponent {exponent:.2f} "
-          f"in [1.8, 2.6]")
+    cost = [n * (n + runs[n][0].m) * math.log2(n) for n in sweep_times]
+    exponent = float(np.polyfit(np.log2(cost), np.log2(list(sweep_times.values())), 1)[0])
+    # 1 is the model; the band is the old [1.8, 2.6] on N around N^2 log N's
+    # 2.2, +-18%.  Its top, 1.18, is N^2.3 over these sizes.
+    assert 0.82 <= exponent <= 1.18, f"fitted exponent {exponent}"
+    print(f"PASS criterion 6: fitted per-sweep exponent against N (N + M) log N "
+          f"{exponent:.2f} in [0.82, 1.18]")
 
 
 def test_criterion_7_pgf_normalization_and_gradient():

@@ -24,9 +24,10 @@ from branchcs.admm import (
     soft_threshold,
     u_update,
 )
-from branchcs.errors import ShapeMismatch
+from branchcs.errors import NonFinite, ShapeMismatch
 from branchcs.grid import (
     MeasurementSet,
+    default_m,
     embed_measurements,
     full_measurements,
     invert_full,
@@ -34,6 +35,7 @@ from branchcs.grid import (
     sample_indices,
 )
 from branchcs.models import ModelSpec, RatesHSC
+from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults
 from helpers import dense_sweep
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
@@ -154,8 +156,9 @@ class TestUpdateMechanics:
         for threads in (1, 2):
             calls.update(fft2=0, ifft2=0)
             report = recover(ms, AdmmConfig(beta=0.1, lam=0.5, max_iter=17), threads)
-            assert calls["fft2"] == report.iterations
-            assert calls["ifft2"] == report.iterations
+            # and one more pair: the last sweep runs again to write U
+            assert calls["fft2"] == report.iterations + 1
+            assert calls["ifft2"] == report.iterations + 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -331,3 +334,122 @@ class TestThreads:
         with grid.block_pool(3, 8) as pool:
             with pytest.raises(ZeroDivisionError):
                 grid.map_blocks(fail_on_last, grid.row_blocks(8), pool)
+
+
+def iterate_loop(ms, cfg, threads=1, s_true=None, target=None):
+    """What recover and recover_to_error do, by public iterate calls on dense
+    states, with the error taken from the dense U: (s_hat, history, converged)."""
+    n = ms.n
+    emb, mhat = embed_measurements(ms), build_mhat(n, ms.indices, cfg.beta)
+    zeros = np.zeros((n, n), dtype=complex)
+    state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
+    history, converged = [], False
+    with grid.block_pool(threads, n) as pool:
+        for _ in range(cfg.max_iter):
+            state, rec = iterate(state, emb, mhat, cfg, pool)
+            history.append(rec)
+            converged = converged or (residual_check(rec)
+                                      and rec.r_norm <= cfg.min_drop * history[0].r_norm
+                                      and rec.s_norm <= cfg.min_drop * history[0].s_norm)
+            done = (rel_l2_error(np.real(state.u) / n**2, s_true) <= target
+                    if s_true is not None else converged)
+            if done:
+                break
+    return np.real(state.u) / n**2, history, converged
+
+
+def assert_same_run(report, loop):
+    s_hat, history, converged = loop
+    assert np.array_equal(report.s_hat, s_hat)
+    assert (report.iterations, report.converged) == (len(history), converged)
+    for a, b in zip(report.history, history):
+        for name in ("r_norm", "s_norm", "eps_pri", "eps_dual"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0.0)
+
+
+class TestSparseSweep:
+    """recover keeps Z as its support and no U; it must still make the iterates
+    that dense single steps make, at any density of Z."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lambda_zero_keeps_all_of_z(self, small_blocks, threads):
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=0.0, max_iter=40)
+        loop = iterate_loop(ms, cfg, threads)
+        assert_same_run(recover(ms, cfg, threads), loop)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_empty_support(self, small_blocks, threads):
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1e6, max_iter=25)
+        s_hat, history, converged = loop = iterate_loop(ms, cfg, threads)
+        assert all(rec.s_norm == 0.0 for rec in history)  # Z never leaves zero
+        assert_same_run(recover(ms, cfg, threads), loop)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_dense_first_sweep_at_hsc_256(self, hsc_model, small_blocks, threads):
+        n = 256
+        m = default_m(n, DEFAULT_SPARSITY_K)
+        full = full_measurements(hsc_model, n)
+        idx = sample_indices(n, m, 0)
+        ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
+        cfg = admm_defaults("hsc", n, m, beta=0.08, max_iter=3)
+        zeros = np.zeros((n, n), dtype=complex)
+        first, _ = iterate(AdmmState(u=zeros, z=zeros, y=zeros), embed_measurements(ms),
+                           build_mhat(n, idx, cfg.beta), cfg)
+        assert np.count_nonzero(first.z) > n * n // 2
+        assert_same_run(recover(ms, cfg, threads), iterate_loop(ms, cfg, threads))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_recover_to_error_stops_where_the_dense_error_does(self, small_blocks, threads):
+        ms, truth = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=400)
+        report = recover_to_error(ms, cfg, truth, target=0.05, threads=threads)
+        assert 1 < report.iterations < cfg.max_iter
+        assert_same_run(report, iterate_loop(ms, cfg, threads, truth, 0.05))
+
+    def test_residuals_match_the_dense_formulas(self, small_blocks):
+        # the sums over Z's support and over the union of two supports
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0)
+        emb, mhat = embed_measurements(ms), build_mhat(32, ms.indices, cfg.beta)
+        zeros = np.zeros((32, 32), dtype=complex)
+        state = AdmmState(u=zeros, z=zeros, y=zeros)
+        norm = np.linalg.norm
+        for _ in range(6):
+            new, rec = iterate(state, emb, mhat, cfg)
+            want = ResidualRecord(
+                k=state.k + 1, r_norm=norm(new.u - new.z), s_norm=cfg.beta * norm(new.z - state.z),
+                eps_pri=32**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * max(norm(new.u), norm(new.z)),
+                eps_dual=32**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * norm(new.y))
+            assert rec.k == want.k
+            for name in ("r_norm", "s_norm", "eps_pri", "eps_dual"):
+                assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)
+            state = new
+
+    def test_non_finite_iterate_raises(self):
+        ms, _ = toy_measurements(16, 12, 0)
+        bad = MeasurementSet(n=16, indices=ms.indices, b=ms.b.copy())
+        bad.b[3, 4] = np.nan
+        with pytest.raises(NonFinite):
+            recover(bad, AdmmConfig(beta=0.1, lam=1.0, max_iter=5))
+
+    def test_overflowing_sums_of_finite_entries_do_not_raise(self):
+        # the sums of squares overflow; the exact test then finds every entry finite
+        ms, _ = toy_measurements(16, 12, 0)
+        cfg = AdmmConfig(beta=0.1, lam=1.0)
+        big = np.full((16, 16), 1e200, dtype=complex)
+        state, rec = iterate(AdmmState(u=big, z=big, y=big), embed_measurements(ms),
+                             build_mhat(16, ms.indices, cfg.beta), cfg)
+        assert np.all(np.isfinite(state.u)) and np.isinf(rec.eps_pri)
+
+    def test_u_update_is_the_sweeps_u(self):
+        ms, _ = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0)
+        emb, mhat = embed_measurements(ms), build_mhat(32, ms.indices, cfg.beta)
+        zeros = np.zeros((32, 32), dtype=complex)
+        state = AdmmState(u=zeros, z=zeros, y=zeros)
+        for _ in range(3):
+            state, _ = iterate(state, emb, mhat, cfg)
+        nxt, _ = iterate(state, emb, mhat, cfg)
+        assert np.array_equal(u_update(state, emb, mhat, cfg.beta), nxt.u)

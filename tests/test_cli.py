@@ -84,6 +84,21 @@ class TestRecover:
         report = json.loads((out / "report.json").read_text())
         assert report["iterations"] == len(report["history"])
 
+    @pytest.mark.parametrize("solver", ["admm", "pgd"])
+    def test_report_sums_up_s_hat(self, tmp_path, hsc_config, solver):
+        out = tmp_path / "out"
+        assert main(["recover", "--config", hsc_config, "--out-dir", str(out), "--n", "32",
+                     "--m", "20", "--solver", solver, "--max-iter", "50"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        s_hat = read_matrix(out / "S_hat.bpm")
+        # the new keys come after the old ones, which keep their order
+        assert list(report) == ["iterations", "converged", "wall_time", "max_imag", "history",
+                                "s_hat"]
+        assert report["s_hat"] == {"total_mass": float(s_hat.sum()),
+                                   "min_entry": float(s_hat.min()),
+                                   "max_imag": report["max_imag"]}
+        assert abs(report["s_hat"]["total_mass"] - 1.0) < 0.05  # close to a distribution
+
     def test_truth_metric(self, tmp_path, hsc_config):
         solve_out = tmp_path / "solve"
         main(["solve", "--config", hsc_config, "--out-dir", str(solve_out), "--n", "32"])

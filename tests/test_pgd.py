@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from branchcs.admm import AdmmConfig, recover
+from branchcs.admm import AdmmConfig, recover, recover_to_error
 from branchcs.errors import ShapeMismatch
 from branchcs.grid import (
     MeasurementSet,
+    default_m,
     full_measurements,
     invert_full,
     rel_l2_error,
@@ -14,6 +15,7 @@ from branchcs.grid import (
 )
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.pgd import PgdConfig, fidelity_gradient, forward, pgd_recover, smooth_value
+from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, pgd_lambda
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
 
@@ -105,3 +107,24 @@ def test_thread_count_leaves_fista_unchanged(small_blocks):
     for other in runs[1:]:
         assert np.array_equal(other.s_hat, runs[0].s_hat)
         assert other.history == runs[0].history
+
+
+def test_matched_accuracy_counts_at_bds_256(bds_model):
+    # the matched-accuracy protocol of `branchcs bench` (FISTA to its plateau,
+    # then ADMM to its error) at BDS N=256, sampling seeds 0-4: both solvers'
+    # iteration counts, which changes to their reductions must leave alone
+    n = 256
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    full = full_measurements(bds_model, n)
+    s_true = invert_full(full)
+    counts = []
+    for seed in range(5):
+        idx = sample_indices(n, m, seed)
+        ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=seed)
+        p = pgd_recover(ms, PgdConfig(lam=pgd_lambda("bds", m), max_iter=500))
+        assert p.converged
+        p_err = rel_l2_error(p.s_hat, s_true)
+        a = recover_to_error(ms, admm_defaults("bds", n, m, max_iter=25000), s_true, p_err)
+        assert rel_l2_error(a.s_hat, s_true) <= p_err
+        counts.append((p.iterations, a.iterations))
+    assert counts == [(373, 86), (369, 86), (356, 87), (366, 59), (376, 87)]
