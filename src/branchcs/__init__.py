@@ -9,7 +9,6 @@ oracle for verification).
 from .admm import AdmmConfig, SolveReport, recover, soft_threshold
 from .errors import (
     BranchCSError,
-    DegenerateRates,
     IntegrationFailure,
     MTooLarge,
     NonConvergent,

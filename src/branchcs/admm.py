@@ -1,32 +1,30 @@
 """Matrix-free ADMM recovery of the transition matrix from sampled measurements.
 
 Splitting: min 0.5 * N^2 ||restrict_J(IFFT2(U)) - B||^2 + lambda ||Z||_1
-subject to U = Z.  The U-subproblem diagonalizes in the Fourier domain, and
-its diagonal is beta off J x J, so each sweep needs IFFT2 only on J x J and
-FFT2 only of a block supported on J x J: N + M one-dimensional transforms
-each way instead of 2N, plus elementwise work.  No matrix products or
-inversions anywhere, and no BLAS calls.
+subject to U = Z.  The U-subproblem diagonalizes in the Fourier domain with
+diagonal beta off J x J, so a sweep needs IFFT2 only on J x J and FFT2 only of
+a block on J x J: N + M one-dimensional transforms each way instead of 2N.
+No matrix products or inversions anywhere, and no BLAS calls.
 
-A sweep reads only the scaled dual Y (an N x N grid), Z and the row IFFTs
-of Y - beta Z gathered at columns J (N x M).  Z is kept as its support, flat
-indices and values per fixed row block: the prox leaves under 0.5% of it
-nonzero at N = 512, and all of it only when lambda = 0.  A sweep does the M column
-IFFTs, forms C and does the M column FFTs, then makes one pass over the row
-blocks, on a pool of threads if asked.  On each block it does the row FFTs,
-the prox argument, U (in a per-thread block that stays in cache), the prox
-on the entries above the threshold, the new Y, the sums of squares, and the
-row IFFTs of Y - beta Z for the next sweep.  The blocks do not depend on the
-thread count, so neither does any result.
-
-A recover holds two N x N grids, the Y of the last two sweeps, and no U
-grid: when the run stops, it runs the last sweep again from the state
-before it, writing that sweep's Y over the Y it reads and U into the other
-grid.  u_update and iterate are the dense single-step API over the same
-sweep: their dense state is put in the form the sweep reads and back.
+The scaled dual Y is not kept (Boyd et al. 2011, 3.1.1).  With C_k the M x M
+block sweep k transforms and F_k = FFT2(C_k), the prox argument is
+V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
+D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
+- C_{k-1}).  A run keeps C, the F grids of the last two sweeps and, per fixed
+row block, Z's and D's supports (under 0.5% of the grid at N = 512).  A sweep
+does the M column IFFTs of D_k's row IFFTs, forms C_k, does the M column FFTs
+and makes one pass over the row blocks, on a pool of threads if asked: the
+row FFTs of C_k into F_k, |F_k + Z_{k-1}| > lambda / beta, the prox there, the
+sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off the supports) and the
+row IFFTs of the rows where D_{k+1} is nonzero; no result depends on the
+thread count.  U is written once, when a run stops.  iterate is the dense API
+over the same sweep: (Z, Y) enters as F = Y / beta + Z, Z_{k-2} = 0 and
+C = IFFT2(F)[J, J].
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 import time
@@ -35,45 +33,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (
-    BlockPool,
-    MeasurementSet,
-    Subgrid,
-    block_pool,
-    column_ifft,
-    embedded_fft2,
-    map_blocks,
-    sampled_ifft2,
-)
+from .grid import (BlockPool, MeasurementSet, Subgrid, block_pool, column_ifft, embedded_fft2,
+                   map_blocks, sampled_ifft2)
 
-__all__ = [
-    "AdmmConfig",
-    "AdmmState",
-    "ResidualRecord",
-    "SolveReport",
-    "build_mhat",
-    "soft_threshold",
-    "u_update",
-    "iterate",
-    "recover",
-    "recover_to_error",
-    "residual_check",
-    "objective",
-]
+__all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
+           "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
+           "residual_check", "objective"]
 
-# module-level references so tests can count calls: per sweep, the FFT2 of
-# C and the column half of IFFT2(Y - beta Z), whose row half ran in the last
-# sweep's pass over the row blocks
+# module-level references so tests can count calls: per sweep, the FFT2 of C
+# and the column half of IFFT2(D), whose row half ran in the last sweep's tails
 _fft2 = embedded_fft2
 _ifft2 = column_ifft
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """ADMM tuning: stepsize, l1 penalty, and stopping tolerances.
-
-    Primal/dual tolerance scale factors are D1 = N^d1_exp, D2 = N^d2_exp.
-    """
+    """ADMM tuning: stepsize, l1 penalty, and stopping tolerances, whose
+    primal/dual scale factors are D1 = N^d1_exp, D2 = N^d2_exp."""
 
     beta: float
     lam: float
@@ -82,12 +58,9 @@ class AdmmConfig:
     d1_exp: float = 2.0
     d2_exp: float = 5.0
     max_iter: int = 500
-    # Residual-convergence factor: on top of the tolerance inequalities, both
-    # residuals must fall below min_drop times their first-iteration values
-    # before the run is declared converged.  The published stopping constants
-    # alone fire mid-descent for the corrected U-update, well before the
-    # low-error plateau; this operationalizes the residual-convergence
-    # guarantee instead.
+    # Both residuals must also fall below min_drop times their first-sweep
+    # values before the run is declared converged: the published constants
+    # alone fire mid-descent, well before the low-error plateau.
     min_drop: float = 1e-2
 
     def __post_init__(self):
@@ -103,9 +76,10 @@ class AdmmConfig:
 class AdmmState:
     """Primal iterate U, split variable Z, scaled dual Y, iteration counter.
 
-    iterate keeps in sweep what the sweeps of a run share, so that the next
-    sweep from this state does not derive it again; it is rederived when
-    embedded_b, mhat or beta is a different object or value.
+    iterate keeps in sweep what a run's sweeps share, rederived when
+    embedded_b, mhat or beta is a different object or value, and in form the
+    state as the next sweep reads it, used while sweep is and z and y are
+    the arrays iterate returned, so chains of iterate do a run's arithmetic.
     """
 
     u: np.ndarray
@@ -113,6 +87,7 @@ class AdmmState:
     y: np.ndarray
     k: int = 0
     sweep: _SweepConstants | None = field(default=None, repr=False, compare=False)
+    form: _SweepForm | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,55 +124,69 @@ class _SweepConstants:
         return cls(beta, Subgrid(n, j), b_j, (embedded_b, mhat))
 
 
-@dataclass(frozen=True, eq=False)
-class _SparseState:
-    """What a sweep reads: Y; Z as (flat indices, values) per row block of
-    const.sub, indices into the block's rows; g, the row IFFTs of Y - beta Z
-    gathered at columns J; and the iteration counter."""
+_EMPTY = (np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))
 
-    y: np.ndarray
+
+@dataclass(frozen=True, eq=False)
+class _SweepForm:
+    """The state after sweep k as sweep k + 1 reads it: C_k, F_k and F_{k-1} (None
+    for a dense state), excess = ||f||^2 - N^2 ||c||^2 (0 but for a dense state);
+    per row block, t (flat indices in the block where Z_k or Z_{k-1} is not 0)
+    with Z_k and D_{k+1} there, and D_k (indices, values); g, D_{k+1}'s row
+    IFFTs gathered at columns J; k; and the (z, y) made of it."""
+
+    c: np.ndarray
+    f: np.ndarray
+    f_prev: np.ndarray | None
+    excess: float
     z: tuple
     g: np.ndarray
     k: int
+    dense: tuple = (None, None)
 
     @classmethod
     def of(cls, state: AdmmState, const: _SweepConstants, pool: BlockPool | None,
-           scratch: _RowBlocks) -> _SparseState:
-        """The form of a dense state that a sweep reads; Y is copied."""
+           scratch: _RowBlocks) -> _SweepForm:
+        """A dense state's form: F = Y / beta + Z, Z_{k-1} = 0, C = IFFT2(F)[J, J]."""
         sub = const.sub
-        y = np.array(state.y, dtype=complex, order="C")  # its rows patched in place
-        g = np.empty((sub.n, len(sub.j)), dtype=complex)
+        f = np.array(state.y, dtype=complex, order="C")
+        f *= 1.0 / const.beta
+        f += state.z
+        g, cols = (np.empty((sub.n, len(sub.j)), dtype=complex) for _ in range(2))
 
         def block(r):
+            # the row IFFTs of F at columns J, made in the thread's buffer
+            sub.gather(np.fft.ifft(f[r], axis=1, out=scratch.u[:r.stop - r.start]), r, cols)
             z = np.ravel(state.z[r])
             support = np.flatnonzero(z)
             values = z[support].astype(complex)
-            _next_row_ifft(scratch.rows(r), y[r], support, values, const.beta, sub, r, g)
-            return support, values
+            d = values + values  # D_{k+1} = 2 Z_k
+            _row_iffts(scratch, support, d, sub, r, g)
+            return (support, values, d), _EMPTY
 
-        return cls(y, tuple(map_blocks(block, sub.blocks, pool)), g, state.k)
+        zs = tuple(map_blocks(block, sub.blocks, pool))
+        c = column_ifft(cols, sub)
+        return cls(c, f, None, _sum_squares(f) - sub.n**2 * _sum_squares(c), zs, g, state.k)
 
-    def dense_z(self, sub: Subgrid) -> np.ndarray:
-        z = np.zeros((sub.n, sub.n), dtype=complex)
-        for r, (support, values) in zip(sub.blocks, self.z):
-            z[r].reshape(-1)[support] = values
-        return z
+    def u(self, sub: Subgrid, pool: BlockPool | None, out: np.ndarray) -> np.ndarray:
+        """U_k = F_k - F_{k-1} + D_k, into out (it may be f_prev)."""
+
+        def block(r):
+            support, d = self.z[r.start // sub.blocks[0].stop][1]
+            np.subtract(self.f[r], self.f_prev[r], out=out[r]).reshape(-1)[support] += d
+
+        map_blocks(block, sub.blocks, pool)
+        return out
 
 
 class _RowBlocks(threading.local):
-    """One thread's buffers for the row block it works on, made on its first
-    block and kept for the run, so the block stays in cache and no sweep
+    """One thread's buffers for its row block, kept for the run so no sweep
     allocates a grid."""
 
     def __init__(self, sub: Subgrid):
-        shape = (sub.blocks[0].stop, sub.n)
-        self.f = np.empty(shape, dtype=complex)
-        self.u = np.empty(shape, dtype=complex)
-        self.re = np.empty(shape)
-
-    def rows(self, r: slice) -> np.ndarray:
-        """The row FFT buffer for the rows r."""
-        return self.f[:r.stop - r.start]
+        h, n = sub.blocks[0].stop, sub.n
+        self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
+        self.nonzero_rows = np.empty(h, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -217,19 +206,21 @@ class SolveReport:
     converged: bool
     wall_time: float
     max_imag: float = 0.0
+    stop_reason: str = "max_iter"
 
     @classmethod
-    def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float):
+    def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float,
+                     stop_reason: str):
         """Report on the final Fourier-domain iterate u: s_hat = real(u)/N^2, timed from start."""
         wall, n2 = time.perf_counter() - start, u.shape[0] ** 2
         return cls(s_hat=np.real(u) / n2, history=history, iterations=len(history),
                    converged=converged, wall_time=wall,
-                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2)
+                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2, stop_reason=stop_reason)
 
     def to_json_dict(self) -> dict:
-        """Scalars and residual history; the matrix is written separately.  s_hat
-        sums up what a probability matrix must satisfy: its total mass, its most
-        negative entry and the imaginary part dropped from it."""
+        """Scalars and residual history (the matrix is written separately); s_hat's
+        total mass, most negative entry and dropped imaginary part; and why the
+        solver stopped: tolerance, max_iter or error_target."""
         return {
             "iterations": self.iterations,
             "converged": self.converged,
@@ -239,30 +230,25 @@ class SolveReport:
             "s_hat": {"total_mass": float(self.s_hat.sum()),
                       "min_entry": float(self.s_hat.min()),
                       "max_imag": self.max_imag},
+            "stop_reason": self.stop_reason,
         }
 
 
 def build_mhat(n: int, indices, beta: float) -> np.ndarray:
-    """Diagonal of the Fourier-domain normal matrix: beta + kron(p, p).
-
-    p is the 0/1 indicator of the sampled indices; every entry of the result
-    is beta or beta + 1.
-    """
+    """Diagonal of the Fourier-domain normal matrix: beta + kron(p, p), p the 0/1
+    indicator of the sampled indices, so every entry is beta or beta + 1."""
     p = np.zeros(n)
     p[np.asarray(indices, dtype=int)] = 1.0
     return beta + np.kron(p, p)
 
 
 def soft_threshold(v, tau: float):
-    """Complex magnitude shrinkage: the prox of tau * ||.||_1.
-
-    v * max(1 - tau/|v|, 0): shrinks |v| by tau preserving phase; reduces to
-    sign(v) max(|v|-tau, 0) on reals.  Entries with |v| = 0 map to 0.
-    Written into a new array.
-    """
+    """Complex magnitude shrinkage, the prox of tau * ||.||_1, into a new array:
+    v * max(1 - tau/|v|, 0), sign(v) max(|v|-tau, 0) on reals; 0 maps to 0, and
+    everything to 0 when tau is infinite."""
     v = np.asarray(v)
-    if tau == 0:
-        return np.positive(v)  # a copy
+    if tau == 0 or tau == math.inf:
+        return np.positive(v) if tau == 0 else np.zeros_like(v)  # a new array
     # 1 - tau / max(|v|, tau) is exactly 0 where |v| <= tau, and never divides by 0
     scale = np.abs(v, out=np.empty(v.shape))  # an array even for 0-d v
     np.maximum(scale, tau, out=scale)
@@ -271,14 +257,17 @@ def soft_threshold(v, tau: float):
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b>, the sum of Re(conj(a) b), over two float64 or complex128
-    arrays of one shape, 1-d or 2-d with contiguous rows, without BLAS
-    (np.vdot and np.linalg.norm call it, and then its idle worker threads
-    spin against the solver's)."""
+    """Re <a, b> over two float64 or complex128 arrays of one shape, 1-d or 2-d
+    with contiguous rows, without BLAS (whose idle threads spin against ours)."""
     if a.ndim == 1:
         a, b = a[None], b[None]
     # a complex entry is its (re, im) pair
     return float(np.einsum("ij,ij->", a.view(np.float64), b.view(np.float64)))
+
+
+def _real_inners(a: np.ndarray, b: np.ndarray) -> list:
+    """Re <a_i, b_i> for each row i of two complex128 2-d arrays, as _real_inner."""
+    return np.einsum("ij,ij->i", a.view(np.float64), b.view(np.float64)).tolist()
 
 
 def _sum_squares(a: np.ndarray) -> float:
@@ -286,110 +275,124 @@ def _sum_squares(a: np.ndarray) -> float:
     return _real_inner(a, a)
 
 
-def _next_row_ifft(w, y, support, values, beta, sub, r, g):
-    """Row IFFTs of rows r of Y - beta Z into w, gathered at columns J into
-    g[r]; y is those rows of Y, read in place with the entries on Z's support
-    changed for the transform and then put back.  The sweep wants beta Z - Y,
-    and takes these exact negations of its values, as rounding is symmetric."""
-    y1 = y.reshape(-1)
-    kept = y1[support]
-    y1[support] = kept - values * beta
-    np.fft.ifft(y, axis=1, out=w)
-    y1[support] = kept
-    sub.gather(w, r, g)
+def _row_iffts(scratch: _RowBlocks, support, d, sub: Subgrid, r: slice, g: np.ndarray) -> None:
+    """The row IFFTs of the rows r of D (d on the block's flat indices support),
+    gathered at columns J into g[r], of only the rows where D is nonzero: the
+    others are zeroed.  Those rows are packed, in order, into one buffer."""
+    row = support // sub.n
+    nonzero = scratch.nonzero_rows[:r.stop - r.start]
+    nonzero.fill(False)
+    nonzero[row] = True
+    rows = np.flatnonzero(nonzero)
+    g[r] = 0
+    if len(rows):
+        packed = np.cumsum(nonzero) - 1  # of each row, its place among rows
+        d_rows = scratch.u[:len(rows)]
+        d_rows.fill(0)
+        d_rows.reshape(-1)[support + (packed[row] - row) * sub.n] = d
+        g[r.start + rows] = np.fft.ifft(d_rows, axis=1, out=d_rows)[:, sub.j]
 
 
-def _sweep(s: _SparseState, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPool | None,
-           scratch: _RowBlocks, y: np.ndarray, g: np.ndarray, u: np.ndarray | None = None,
-           s_true: np.ndarray | None = None) -> tuple[_SparseState, ResidualRecord, float]:
-    """One ADMM sweep from s: the new state, its residual record, and with
-    s_true the sum of squares of real(U)/N^2 - s_true (else 0).
-
-    The new Y and g are written into y (N x N; it may be s.y, since each row
-    block reads its rows of s.y before it writes them) and g (N x M, not
-    s.g); U is written into u when given.  Every entry is computed as the
-    dense formulas compute it; the per-block sums of squares are added in
-    block order, so the result is the same with any pool.
-    """
+def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPool | None,
+           scratch: _RowBlocks, f_out: np.ndarray, g_out: np.ndarray,
+           s_true: np.ndarray | None = None) -> tuple[_SweepForm, ResidualRecord, float]:
+    """Sweep k = s.k + 1: the new form, its residual record, and with s_true the
+    sum of squares of real(U_k)/N^2 - s_true (else 0).  F_k is written into
+    f_out (not s.f), D_{k+1}'s row IFFTs into g_out (it may be s.g).  The
+    per-block sums are added in block order: the same result with any pool."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
     n, k, step = sub.n, s.k + 1, sub.blocks[0].stop
-    # U+ = Z - Y / beta + FFT2(C), C = B / (beta + 1) - W_J / (beta (beta + 1))
-    # on J x J and zero elsewhere, W = IFFT2(beta Z - Y) = -IFFT2(Y - beta Z)
-    c = const.b_j + _ifft2(s.g, sub) * (1.0 / (beta * (beta + 1.0)))
+    # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
+    c = const.b_j - (_ifft2(s.g, sub) - s.c) * (1.0 / (beta + 1.0))
 
-    def tail(r, v):  # v: rows r of FFT2(C), in this thread's block
-        h = len(v)
-        v1 = v.reshape(-1)
-        old, z_old = s.z[r.start // step]
-        y_old, y_new = s.y[r], y[r]
-        v1[old] += z_old  # V = U+ + Y / beta, the prox argument
-        ur = np.multiply(y_old, -1.0 / beta, out=scratch.u[:h])
-        ur += v  # U+
-        support = np.flatnonzero(np.abs(v, out=scratch.re[:h]) > tau)
-        z = soft_threshold(v1[support], tau)  # zero off the support
-        uu, zz = _sum_squares(ur), _sum_squares(z)
-        # finite sums of squares mean finite entries; if not, test exactly (it may be overflow)
-        if not math.isfinite(uu + zz) and not (np.all(np.isfinite(ur)) and np.all(np.isfinite(z))):
-            raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
-        if u is not None:
-            u[r] = ur
+    def tail(r, v):  # v: rows r of F_k, in f_out
+        h, v1, fp1 = len(v), v.reshape(-1), s.f[r].reshape(-1)
+        (t, zt, dt), _ = s.z[r.start // step]  # Z_{k-1} and D_k on t
         ee = 0.0
-        if s_true is not None:
-            err = np.divide(ur.real, n**2, out=scratch.re[:h])
+        if s_true is not None:  # U_k = F_k - F_{k-1} + D_k, as _SweepForm.u makes it
+            u = np.subtract(v, s.f[r], out=scratch.u[:h])
+            u.reshape(-1)[t] += dt
+            err = np.divide(u.real, n**2, out=scratch.re[:h])
             ee = _sum_squares(np.subtract(err, s_true[r], out=err))
-        # Z - Z_old on the union of the supports, made in v
-        v1[old] = 0
-        v1[support] = z
-        v1[old] -= z_old
-        dz_new = v1[support]
-        v1[support] = 0
-        dd = _sum_squares(dz_new) + _sum_squares(v1[old])
-        # the primal residual r = U+ - Z, then Y = Y_old + beta r
-        ur.reshape(-1)[support] -= z
-        rr = _sum_squares(ur)
-        ur *= beta
-        np.add(ur, y_old, out=y_new)
-        _next_row_ifft(v, y_new, support, z, beta, sub, r, g)
-        return support, z, rr, dd, uu, zz, _sum_squares(y_new), ee
+        # p: t, then where |V| > lambda / beta off t, with V = F_k + Z_{k-1} = F_k there
+        re = np.abs(v, out=scratch.re[:h]).reshape(-1)
+        re[t] = 0
+        found = np.flatnonzero(np.greater(re, tau, out=scratch.above[:h].reshape(-1)))
+        p = np.concatenate((t, found))
+        on_p = np.empty((7, len(p)), dtype=complex)  # rows, each the values of one vector at p
+        e, d, dz, d_next, x1, a, f = on_p
+        np.take(v1, p, out=f)
+        np.subtract(f, np.take(fp1, p, out=a), out=a)  # A = F_k - F_{k-1}
+        for x, values in ((x1, zt), (d, dt)):  # Z_{k-1} and D_k at p
+            x[:len(t)] = values
+            x[len(t):] = 0
+        z = soft_threshold(np.add(f, x1, out=e), tau)  # Z_k at p: 0 where |V| <= tau
+        np.subtract(z, x1, out=dz)  # Z_k - Z_{k-1}
+        np.subtract(d, z, out=e)  # E = D_k - Z_k
+        # off p U_k - Z_k = U_k = A and Y_k / beta = F_k; on p U_k = A + D_k, U_k - Z_k
+        # = A + E, Y_k / beta = F_k - (Z_k - Z_{k-1}); |A + E|^2 - |A|^2 = Re(E* (2A + E))
+        np.add(np.add(a, a, out=a), e, out=x1)
+        np.add(a, d, out=a)
+        np.subtract(dz, np.add(f, f, out=f), out=f)
+        rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
+        np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
+        kept = np.flatnonzero(np.logical_or(z != 0, dz != 0))  # where Z_k or Z_{k-1} is not 0
+        new = p[kept], z[kept], d_next[kept]
+        _row_iffts(scratch, new[0], new[2], sub, r, g_out)
+        return (new, (t, dt)), rr, _sum_squares(dz), uu, _sum_squares(z), yy, ee
 
-    parts = _fft2(c, sub, n, pool, tail, scratch.rows)
-    rr, dd, uu, zz, yy, ee = (sum(p[i] for p in parts) for i in range(2, 8))  # in block order
+    parts = _fft2(c, sub, n, pool, tail, f_out)
+    rr, dd, uu, zz, yy, ee = (sum(p[i] for p in parts) for i in range(1, 7))  # in block order
+    n2 = float(n * n)
+    dc = n2 * _sum_squares(c - s.c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval
+    rr, uu = rr + dc, uu + dc
+    yy = beta**2 * (yy + n2 * _sum_squares(c))
+    sums = (rr, dd, uu, zz, yy)
+    if not all(map(math.isfinite, sums)) and not (
+            np.all(np.isfinite(f_out)) and all(np.all(np.isfinite(p[0][0][1])) for p in parts)):
+        raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
+    # with finite entries, nan is inf - inf from sums that overflow, and below 0 is rounding
+    rr, dd, uu, zz, yy = (math.inf if math.isnan(x) else max(x, 0.0) for x in sums)
     rec = ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=beta * math.sqrt(dd),
                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
-    return _SparseState(y, tuple(p[:2] for p in parts), g, k), rec, ee
+    return _SweepForm(c, f_out, s.f, 0.0, tuple(p[0] for p in parts), g_out, k), rec, ee
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
              beta: float) -> np.ndarray:
-    """Closed-form U-subproblem solve: U+ = FFT2[(A_hat + W) / M_hat].
-
-    W = IFFT2(beta Z - Y).  M_hat (from build_mhat) is beta + 1 on J x J and
-    beta elsewhere, and FFT2(W / beta) = Z - Y / beta, so
-    U+ = Z - Y / beta + FFT2(C) with C = (B + W_J) / (beta + 1) - W_J / beta
-    on J x J and zero elsewhere: only the J x J block of W is computed.
-    This is the U of iterate's sweep; U+ does not depend on lambda, and with
-    an infinite one the prox keeps nothing.
-    """
+    """Closed-form U-subproblem solve U+ = FFT2[(A_hat + IFFT2(beta Z - Y)) / M_hat]:
+    iterate's U, which does not depend on lambda; an infinite one keeps no Z."""
     return iterate(state, embedded_b, mhat, AdmmConfig(beta=beta, lam=math.inf))[0].u
 
 
 def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
             cfg: AdmmConfig, pool: BlockPool | None = None) -> tuple[AdmmState, ResidualRecord]:
-    """One full ADMM sweep; returns the new state and its residual record.
-
-    The dense single-step form of the sweep recover runs: the state's Z and
-    Y are put in the form the sweep reads (one pass over the row blocks),
-    and the sweep also writes U and the new Z out as grids.  Its row blocks
-    run on pool's threads if given; the result is the same with any pool.
-    The input state is not modified.
-    """
+    """One full ADMM sweep, recover's, on dense states: the new state and its
+    residual record.  A state iterate did not return is put in the sweep's
+    form.  Row blocks run on pool's threads if given, with the same result;
+    the input state is not modified."""
     const = _SweepConstants.of(state, embedded_b, mhat, cfg.beta)
     scratch = _RowBlocks(const.sub)
-    s = _SparseState.of(state, const, pool, scratch)  # with a copy of Y, made over here
-    u = np.empty_like(s.y)
-    new, rec, _ = _sweep(s, const, cfg, pool, scratch, s.y, np.empty_like(s.g), u)
-    return AdmmState(u=u, z=new.dense_z(const.sub), y=new.y, k=new.k, sweep=const), rec
+    s = state.form
+    if not (s is not None and state.sweep is const
+            and s.dense[0] is state.z and s.dense[1] is state.y):
+        s = _SweepForm.of(state, const, pool, scratch)
+    new, rec, _ = _sweep(s, const, cfg, pool, scratch, np.empty_like(s.f), np.empty_like(s.g))
+    # Y_k = beta (F_k + Z_{k-1} - Z_k) = beta (F_k + Z_k - D_{k+1})
+    z, y, step = np.zeros_like(new.f), np.array(new.f), const.sub.blocks[0].stop
+
+    def block(r):
+        (t, zt, d), _ = new.z[r.start // step]
+        z[r].reshape(-1)[t] = zt
+        y1 = y[r].reshape(-1)
+        y1[t] += zt
+        y1[t] -= d
+
+    map_blocks(block, const.sub.blocks, pool)
+    y *= cfg.beta
+    return AdmmState(u=new.u(const.sub, pool, np.empty_like(y)), z=z, y=y, k=new.k, sweep=const,
+                     form=dataclasses.replace(new, dense=(z, y))), rec
 
 
 def residual_check(rec: ResidualRecord) -> bool:
@@ -398,22 +401,16 @@ def residual_check(rec: ResidualRecord) -> bool:
 
 
 def recover(ms: MeasurementSet, cfg: AdmmConfig, threads: int = 1) -> SolveReport:
-    """Run ADMM from zero initialization until the stopping criterion or max_iter.
-
-    threads sets the worker threads of the sweep; the result does not depend on it.
-    """
+    """Run ADMM from zero until the stopping criterion or max_iter sweeps; threads
+    sets the sweep's worker threads, on which the result does not depend."""
     return _run(ms, cfg, threads)
 
 
 def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
                      target: float, threads: int = 1) -> SolveReport:
-    """Run ADMM until the recovery error against s_true drops to target.
-
-    Benchmark protocol for solver comparisons at matched accuracy: iterate
-    until rel_l2_error(real(U)/N^2, s_true) <= target or cfg.max_iter sweeps.
-    The converged flag keeps the same meaning as in recover (stopping-rule
-    satisfied), independent of whether the error target was reached.
-    """
+    """Run ADMM until rel_l2_error(real(U)/N^2, s_true) <= target or max_iter
+    sweeps, the protocol for comparing solvers at matched accuracy; converged
+    still says whether recover's stopping rule held."""
     s_true = np.ascontiguousarray(s_true, dtype=float)
     if s_true.shape != (ms.n, ms.n):
         raise ShapeMismatch(f"s_true must be {(ms.n, ms.n)}, got {s_true.shape}")
@@ -422,36 +419,31 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
 
 def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, s_true: np.ndarray | None = None,
          target: float = 0.0) -> SolveReport:
-    """Sweeps from zero until, with s_true, the error against it is at most target,
-    or without it until the stopping rule holds; converged reports whether the
-    stopping rule held at any sweep."""
+    """Sweeps from zero until the error against s_true is at most target, or without
+    it until the stopping rule holds; converged says if that rule held at any sweep."""
     const = _SweepConstants.of_measurements(ms, cfg.beta)
     scratch = _RowBlocks(const.sub)
     true_ss = None if s_true is None else _sum_squares(s_true)  # rel_l2_error's, taken once
     history: list[ResidualRecord] = []
-    converged = False
+    converged, reason = False, "max_iter"
     with block_pool(threads, ms.n) as pool:
-        zeros = np.zeros((ms.n, ms.n), dtype=complex)
-        state = _SparseState.of(AdmmState(u=zeros, z=zeros, y=zeros), const, pool, scratch)
-        # Each sweep writes into the Y and g of the state two sweeps back, which
-        # nothing reads any more: fresh grids every sweep cost page faults.
-        spare = (zeros, np.empty_like(state.g))
+        # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
+        spare = zeros = np.zeros((ms.n, ms.n), dtype=complex)
+        s = _SweepForm.of(AdmmState(u=zeros, z=zeros, y=zeros), const, pool, scratch)
         start = time.perf_counter()
         for _ in range(cfg.max_iter):
-            new, rec, err_ss = _sweep(state, const, cfg, pool, scratch, *spare, s_true=s_true)
-            last, state, spare = state, new, (state.y, state.g)
+            s, rec, err_ss = _sweep(s, const, cfg, pool, scratch, spare, s.g, s_true)
+            spare = s.f_prev
             history.append(rec)
             first = history[0]
             converged = converged or (residual_check(rec)
                                       and rec.r_norm <= cfg.min_drop * first.r_norm
                                       and rec.s_norm <= cfg.min_drop * first.s_norm)
             if math.sqrt(err_ss / true_ss) <= target if s_true is not None else converged:
+                reason = "tolerance" if s_true is None else "error_target"
                 break
-        # U of the last sweep: that sweep again, from the state it started
-        # from, with its Y written over the Y it reads and U into the grid of
-        # the Y it made, which nothing reads any more
-        _sweep(last, const, cfg, pool, scratch, last.y, state.g, state.y)
-    return SolveReport.from_iterate(state.y, history, converged, start)
+        u = s.u(const.sub, pool, out=spare)  # over F_{k-1}
+    return SolveReport.from_iterate(u, history, converged, start, reason)
 
 
 def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:

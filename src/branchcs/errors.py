@@ -9,10 +9,6 @@ class IntegrationFailure(BranchCSError):
     """The adaptive ODE integrator could not meet its tolerance."""
 
 
-class DegenerateRates(BranchCSError):
-    """Closed-form PGF is undefined for the supplied rates (gamma == delta)."""
-
-
 class MTooLarge(BranchCSError, ValueError):
     """Requested more sample indices than grid points (a usage error)."""
 

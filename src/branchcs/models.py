@@ -15,7 +15,7 @@ from numbers import Real
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateRates, IntegrationFailure
+from .errors import IntegrationFailure
 
 __all__ = [
     "RatesHSC",
@@ -103,15 +103,14 @@ def hsc_phi2(t: float, s2: complex, rates: RatesHSC) -> complex:
 def bds_phi01(t: float, s2: complex, rates: RatesBDS) -> complex:
     """PGF starting from one newly occupied location; closed form.
 
-    Undefined at gamma == delta; returns the analytic limit 1 at s2 == 1.
+    phi = 1 + (s2 - 1) / (e^x - gamma (s2 - 1) t expm1(x) / x), x = (delta - gamma) t,
+    with expm1(x) / x = 1 at x = 0: one formula through the critical rates
+    gamma = delta, where it is 1 + (s2 - 1) / (1 - gamma t (s2 - 1)), and
+    exactly 1 at s2 = 1.
     """
-    g, d = rates.gamma, rates.delta
-    if abs(g - d) < 1e-12:
-        raise DegenerateRates("closed form requires gamma != delta")
-    if abs(s2 - 1.0) < 1e-12:
-        return 1.0 + 0.0j
-    bracket = g / (d - g) + (1.0 / (s2 - 1.0) + g / (g - d)) * np.exp((d - g) * t)
-    return 1.0 + 1.0 / bracket
+    g, x = rates.gamma, (rates.delta - rates.gamma) * t
+    ratio = math.expm1(x) / x if x else 1.0
+    return 1.0 + (s2 - 1.0) / (math.exp(x) - g * (s2 - 1.0) * t * ratio)
 
 
 def pgf_many(model: ModelSpec, s1, s2: complex,

@@ -105,4 +105,5 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig, threads: int = 1) -> SolveRe
             if rel < cfg.tol:
                 converged = True
                 break
-    return SolveReport.from_iterate(s_cur, history, converged, start)
+    return SolveReport.from_iterate(s_cur, history, converged, start,
+                                    "tolerance" if converged else "max_iter")

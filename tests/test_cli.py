@@ -12,6 +12,7 @@ import pytest
 
 from branchcs import cli
 from branchcs.cli import main
+from branchcs.grid import full_measurements, invert_full
 from branchcs.matio import read_matrix, write_matrix
 
 HSC_CONFIG = {
@@ -65,6 +66,27 @@ class TestSolve:
 
 
 class TestRecover:
+    def test_cs_hsc_512_is_pinned(self, tmp_path, hsc_config, hsc_model):
+        """The benchmark's cs-hsc-512: N=512, default M=88, seeds 0-4.  Its sweep
+        counts, convergence and errors, and its output at 1 and 2 threads."""
+        truth = tmp_path / "S_true.bpm"
+        write_matrix(truth, invert_full(full_measurements(hsc_model, 512)))
+        want = {0: (206, 0.005229), 1: (201, 0.002919), 2: (207, 0.006020),
+                3: (182, 0.007045), 4: (197, 0.003540)}
+        for seed, (sweeps, err) in want.items():
+            outputs = []
+            for threads in (1, 2):
+                out = tmp_path / f"s{seed}t{threads}"
+                assert main(["recover", "--config", hsc_config, "--out-dir", str(out),
+                             "--n", "512", "--seed", str(seed), "--threads", str(threads),
+                             "--truth", str(truth)]) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["m"] == 88
+                assert (manifest["iterations"], manifest["converged"]) == (sweeps, True)
+                assert float(f"{manifest['metrics']['eps_rel_l2']:.4g}") == err
+                outputs.append((out / "S_hat.bpm").read_bytes())
+            assert outputs[0] == outputs[1]
+
     def test_deterministic_output(self, tmp_path, hsc_config):
         outs = []
         for name in ("a", "b"):
@@ -93,7 +115,9 @@ class TestRecover:
         s_hat = read_matrix(out / "S_hat.bpm")
         # the new keys come after the old ones, which keep their order
         assert list(report) == ["iterations", "converged", "wall_time", "max_imag", "history",
-                                "s_hat"]
+                                "s_hat", "stop_reason"]
+        # recover stops at the first sweep that meets its stopping rule
+        assert report["stop_reason"] == ("tolerance" if report["converged"] else "max_iter")
         assert report["s_hat"] == {"total_mass": float(s_hat.sum()),
                                    "min_entry": float(s_hat.min()),
                                    "max_imag": report["max_imag"]}
@@ -183,12 +207,17 @@ class TestExitCodes:
                   "--n", "16", "--bogus"])
         assert exc.value.code == 1
 
-    def test_degenerate_rates_is_numerical_error(self, tmp_path):
+    def test_critical_rates_solve_to_a_distribution(self, tmp_path):
+        # gamma = delta used to raise; the closed form now runs through the limit
         cfg = dict(BDS_CONFIG, rates={"gamma": 0.02, "sigma": 0.004, "delta": 0.02})
-        path = tmp_path / "degen.json"
+        path = tmp_path / "critical.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path),
-                     "--out-dir", str(tmp_path), "--n", "16"]) == 2
+                     "--out-dir", str(tmp_path), "--n", "16"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        s = read_matrix(tmp_path / "S_full.bpm")
+        assert abs(manifest["total_mass"] - 1.0) < 1e-8
+        assert s.min() > -1e-12
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--n", "17"],                 # not a power of two

@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from branchcs.errors import DegenerateRates
 from branchcs.models import (
     ModelSpec,
     OdeConfig,
@@ -68,9 +68,46 @@ class TestBdsClosedForms:
     def test_phi01_at_one_is_exactly_one(self):
         assert bds_phi01(0.35, 1.0, BDS_RATES) == 1.0 + 0.0j
 
-    def test_phi01_degenerate_rates_raise(self):
-        with pytest.raises(DegenerateRates):
-            bds_phi01(0.35, 0.5, RatesBDS(gamma=0.02, sigma=0.004, delta=0.02))
+    @staticmethod
+    def phi01_50_digits(t, s2, gamma, delta):
+        """phi01 in 50-digit arithmetic, from the textbook bracket form
+        1 + 1 / (g / (d - g) + (1 / (s - 1) + g / (g - d)) e^{(d - g) t}), and from
+        its limit 1 + (s - 1) / (1 - g t (s - 1)) at g = d."""
+        with mpmath.workdps(50):
+            g, d, t, s = mpmath.mpf(gamma), mpmath.mpf(delta), mpmath.mpf(t), mpmath.mpc(s2)
+            if g == d:
+                return complex(1 + (s - 1) / (1 - g * t * (s - 1)))
+            return complex(1 + 1 / (g / (d - g) + (1 / (s - 1) + g / (g - d)) * mpmath.exp((d - g) * t)))
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 0.0])
+    def test_phi01_is_accurate_near_and_at_critical_rates(self, gap):
+        # the closed form's old bracket lost digits as delta -> gamma (2.7e-12 at a
+        # relative gap of 1e-6, 5.8e-9 at 1e-9) and raised at gamma = delta
+        gamma = 0.016
+        rates = RatesBDS(gamma=gamma, sigma=0.004, delta=gamma * (1 + gap))
+        worst = 0.0
+        for k in range(1, 16):
+            s2 = complex(np.exp(2j * np.pi * k / 16))
+            for t in (0.35, 5.0, 100.0):
+                want = self.phi01_50_digits(t, s2, rates.gamma, rates.delta)
+                worst = max(worst, abs(bds_phi01(t, s2, rates) - want))
+            assert bds_phi01(0.35, 1.0 + 0.0j, rates) == 1.0
+        assert worst < 2e-15
+
+    def test_phi01_at_critical_rates_is_the_limit(self):
+        g, t = 0.02, 0.35
+        rates = RatesBDS(gamma=g, sigma=0.004, delta=g)
+        for s2 in (0.5, -1.0, 0.3 - 0.7j, 1j):
+            assert bds_phi01(t, s2, rates) == pytest.approx(1 + (s2 - 1) / (1 - g * t * (s2 - 1)),
+                                                            rel=1e-15)
+
+    def test_phi01_at_critical_rates_satisfies_backward_ode(self):
+        g = 0.02
+        s2, t = 0.3 - 0.7j, 0.35
+        sol = solve_ivp(lambda tau, phi: g * phi * phi - 2 * g * phi + g, (0.0, t),
+                        [complex(s2)], rtol=1e-12, atol=1e-12)
+        rates = RatesBDS(gamma=g, sigma=0.004, delta=g)
+        assert abs(bds_phi01(t, s2, rates) - sol.y[0, -1]) < 1e-9
 
     def test_phi01_satisfies_backward_ode(self):
         # a new location branches (gamma) or dies (delta):
