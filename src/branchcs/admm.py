@@ -10,14 +10,27 @@ The scaled dual Y is not kept (Boyd et al. 2011, 3.1.1).  With C_k the M x M
 block sweep k transforms and F_k = FFT2(C_k), the prox argument is
 V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
 D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
-- C_{k-1}).  A run keeps C, the F grids of the last two sweeps and, per fixed
-row block, Z's and D's supports (under 0.5% of the grid at N = 512).  A sweep
-does the M column IFFTs of D_k's row IFFTs, forms C_k, does the M column FFTs
-and makes one pass over the row blocks, on a pool of threads if asked: the
-row FFTs of C_k into F_k, |F_k + Z_{k-1}| > lambda / beta, the prox there, the
-sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off the supports) and the
-row IFFTs of the rows where D_{k+1} is nonzero; no result depends on the
-thread count.  U is written once, when a run stops.  iterate is the dense API
+- C_{k-1}).  A run keeps C, the column transforms of the last two C, and t,
+the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
+N = 512) with Z, D and F there.
+
+Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
+so max_v |F_k[u, v]| is at most their L1 norm, and a row whose norm is at most
+lambda / beta holds no entry the prox keeps unless t is in it: a safe screen
+(El Ghaoui et al. 2012).  A sweep does the M column IFFTs of D_k's row IFFTs,
+forms C_k and does the M column FFTs; then, in two phases:
+  1. the rows of F_k that pass the screen or hold t (every row when the error
+     against a truth is tracked, which needs all of U_k) are made a row
+     block's worth at a time, on a pool of threads if asked, and thresholded
+     at lambda / beta;
+  2. once, over all of p = t and the entries found, the prox, the sums of
+     squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1} and the row
+     IFFTs of the rows where D_{k+1} is nonzero.
+A run of rows made is kept in its F grid; a row made in a buffer is not, and
+where an entry found at sweep k + 1 lies in a row F_k does not hold, that row
+is made then from the kept column transforms, with the same bits.  No result
+depends on the thread count.  U is written once, when a run stops, after
+every missing row of the last two F grids is made.  iterate is the dense API
 over the same sweep: (Z, Y) enters as F = Y / beta + Z, Z_{k-2} = 0 and
 C = IFFT2(F)[J, J].
 """
@@ -29,21 +42,28 @@ import math
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (BlockPool, MeasurementSet, Subgrid, block_pool, column_ifft, embedded_fft2,
-                   map_blocks, sampled_ifft2)
+from .grid import (BlockPool, MeasurementSet, Subgrid, block_pool, column_fft, column_ifft,
+                   fft_rows, map_blocks, sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
            "residual_check", "objective"]
 
-# module-level references so tests can count calls: per sweep, the FFT2 of C
-# and the column half of IFFT2(D), whose row half ran in the last sweep's tails
-_fft2 = embedded_fft2
+# module-level references so tests can count calls: per sweep, the column half
+# of FFT2(C), whose rows are made as they are needed, and the column half of
+# IFFT2(D), whose row half ran at the end of the last sweep
+_fft2 = column_fft
 _ifft2 = column_ifft
+
+# a row of FFT2(C) whose L1 bound is at most tau (1 - _MARGIN) is not made
+_MARGIN = 1e-9
+_NONE = np.empty(0, dtype=np.intp)
+_EMPTY = (np.empty(0, dtype=complex),) * 3
 
 
 @dataclass(frozen=True)
@@ -124,24 +144,64 @@ class _SweepConstants:
         return cls(beta, Subgrid(n, j), b_j, (embedded_b, mhat))
 
 
-_EMPTY = (np.empty(0, dtype=np.intp), np.empty(0, dtype=complex))
+class _Support(NamedTuple):
+    """Sorted flat grid indices, their rows, and there the values of Z, D and
+    the F grid of the sweep that made them."""
+
+    idx: np.ndarray
+    row: np.ndarray
+    z: np.ndarray
+    d: np.ndarray
+    f: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, idx: np.ndarray, z: np.ndarray, d: np.ndarray,
+           f: np.ndarray) -> _Support:
+        return cls(idx, idx // n, z, d, f)
+
+
+class _FGrid:
+    """F = FFT2(C) on an N x N grid, of which only the rows in held are made.
+    cols, C's column transforms, makes any other row when it is needed, with
+    the bits it would have had (None for a dense state's F, which holds every
+    row)."""
+
+    def __init__(self, grid: np.ndarray, cols: np.ndarray | None, held: np.ndarray):
+        self.grid, self.cols, self.held = grid, cols, held
+
+    def fill(self, sub: Subgrid, scratch: _RowBlocks, rows: np.ndarray | None = None) -> int:
+        """Makes the rows among rows (row numbers; every row if None) not held yet;
+        how many."""
+        rows = (~self.held).nonzero()[0] if rows is None else rows[~self.held[rows]]
+        if len(rows) == 0:
+            return 0
+        rows = np.unique(rows)
+        h = len(scratch.u)
+        for i in range(0, len(rows), h):  # a buffer's worth at a time
+            some = rows[i:i + h]
+            self.grid[some] = fft_rows(self.cols[some], sub, scratch.u[:len(some)])
+        self.held[rows] = True
+        return len(rows)
 
 
 @dataclass(frozen=True, eq=False)
 class _SweepForm:
     """The state after sweep k as sweep k + 1 reads it: C_k, F_k and F_{k-1} (None
-    for a dense state), excess = ||f||^2 - N^2 ||c||^2 (0 but for a dense state);
-    per row block, t (flat indices in the block where Z_k or Z_{k-1} is not 0)
-    with Z_k and D_{k+1} there, and D_k (indices, values); g, D_{k+1}'s row
-    IFFTs gathered at columns J; k; and the (z, y) made of it."""
+    for a dense state), excess = ||F_k||^2 - N^2 ||C_k||^2 (0 but for a dense
+    state); z, where Z_k or Z_{k-1} is not 0, with Z_k, D_{k+1} and F_k there,
+    and z_prev, the z of sweep k - 1, whose d is D_k; g, D_{k+1}'s row IFFTs
+    gathered at columns J, as an M x N array; k; row_ffts, the rows of F grids
+    made so far; and the (z, y) made of it."""
 
     c: np.ndarray
-    f: np.ndarray
-    f_prev: np.ndarray | None
+    f: _FGrid
+    f_prev: _FGrid | None
     excess: float
-    z: tuple
+    z: _Support
+    z_prev: _Support
     g: np.ndarray
     k: int
+    row_ffts: int = 0
     dense: tuple = (None, None)
 
     @classmethod
@@ -152,41 +212,40 @@ class _SweepForm:
         f = np.array(state.y, dtype=complex, order="C")
         f *= 1.0 / const.beta
         f += state.z
-        g, cols = (np.empty((sub.n, len(sub.j)), dtype=complex) for _ in range(2))
-
-        def block(r):
-            # the row IFFTs of F at columns J, made in the thread's buffer
-            sub.gather(np.fft.ifft(f[r], axis=1, out=scratch.u[:r.stop - r.start]), r, cols)
-            z = np.ravel(state.z[r])
-            support = np.flatnonzero(z)
-            values = z[support].astype(complex)
-            d = values + values  # D_{k+1} = 2 Z_k
-            _row_iffts(scratch, support, d, sub, r, g)
-            return (support, values, d), _EMPTY
-
-        zs = tuple(map_blocks(block, sub.blocks, pool))
+        g, cols = (np.empty(shape, dtype=complex) for shape in ((len(sub.j), sub.n),
+                                                               (sub.n, len(sub.j))))
+        # the row IFFTs of F at columns J, made in the thread's buffer
+        map_blocks(lambda r: sub.gather(np.fft.ifft(f[r], axis=1, out=scratch.u[:r.stop - r.start]),
+                                        r, cols), sub.blocks, pool)
+        z = np.ravel(state.z)
+        support = np.flatnonzero(z)
+        values = z[support].astype(complex)
+        z = _Support.of(sub.n, support, values, values + values,  # D_{k+1} = 2 Z_k
+                        f.reshape(-1)[support])
+        _row_iffts(z, sub, scratch, g)
         c = column_ifft(cols, sub)
-        return cls(c, f, None, _sum_squares(f) - sub.n**2 * _sum_squares(c), zs, g, state.k)
+        return cls(c, _FGrid(f, None, np.ones(sub.n, dtype=bool)), None,
+                   _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
+                   _Support.of(sub.n, _NONE, *_EMPTY), g, state.k)
 
-    def u(self, sub: Subgrid, pool: BlockPool | None, out: np.ndarray) -> np.ndarray:
-        """U_k = F_k - F_{k-1} + D_k, into out (it may be f_prev)."""
+    def complete(self, sub: Subgrid, scratch: _RowBlocks) -> int:
+        """Makes every row F_k and F_{k-1} do not hold yet; how many."""
+        return self.f.fill(sub, scratch) + self.f_prev.fill(sub, scratch)
 
-        def block(r):
-            support, d = self.z[r.start // sub.blocks[0].stop][1]
-            np.subtract(self.f[r], self.f_prev[r], out=out[r]).reshape(-1)[support] += d
-
-        map_blocks(block, sub.blocks, pool)
+    def u(self, out: np.ndarray) -> np.ndarray:
+        """U_k = F_k - F_{k-1} + D_k of complete grids, into out (it may be F_{k-1}'s)."""
+        np.subtract(self.f.grid, self.f_prev.grid, out=out).reshape(-1)[self.z_prev.idx] += \
+            self.z_prev.d
         return out
 
 
 class _RowBlocks(threading.local):
-    """One thread's buffers for its row block, kept for the run so no sweep
-    allocates a grid."""
+    """One thread's buffers for a row block's worth of rows, kept for the run so
+    no sweep allocates a grid."""
 
     def __init__(self, sub: Subgrid):
         h, n = sub.blocks[0].stop, sub.n
         self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
-        self.nonzero_rows = np.empty(h, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -207,20 +266,23 @@ class SolveReport:
     wall_time: float
     max_imag: float = 0.0
     stop_reason: str = "max_iter"
+    row_ffts: int = 0
 
     @classmethod
     def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float,
-                     stop_reason: str):
+                     stop_reason: str, row_ffts: int):
         """Report on the final Fourier-domain iterate u: s_hat = real(u)/N^2, timed from start."""
         wall, n2 = time.perf_counter() - start, u.shape[0] ** 2
         return cls(s_hat=np.real(u) / n2, history=history, iterations=len(history),
                    converged=converged, wall_time=wall,
-                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2, stop_reason=stop_reason)
+                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2, stop_reason=stop_reason,
+                   row_ffts=row_ffts)
 
     def to_json_dict(self) -> dict:
         """Scalars and residual history (the matrix is written separately); s_hat's
         total mass, most negative entry and dropped imaginary part; and why the
-        solver stopped: tolerance, max_iter or error_target."""
+        solver stopped: tolerance, max_iter or error_target; and how many length-N
+        row transforms of the grid the solver made (ADMM: rows of F grids)."""
         return {
             "iterations": self.iterations,
             "converged": self.converged,
@@ -231,6 +293,7 @@ class SolveReport:
                       "min_entry": float(self.s_hat.min()),
                       "max_imag": self.max_imag},
             "stop_reason": self.stop_reason,
+            "row_ffts": self.row_ffts,
         }
 
 
@@ -275,88 +338,143 @@ def _sum_squares(a: np.ndarray) -> float:
     return _real_inner(a, a)
 
 
-def _row_iffts(scratch: _RowBlocks, support, d, sub: Subgrid, r: slice, g: np.ndarray) -> None:
-    """The row IFFTs of the rows r of D (d on the block's flat indices support),
-    gathered at columns J into g[r], of only the rows where D is nonzero: the
-    others are zeroed.  Those rows are packed, in order, into one buffer."""
-    row = support // sub.n
-    nonzero = scratch.nonzero_rows[:r.stop - r.start]
-    nonzero.fill(False)
-    nonzero[row] = True
-    rows = np.flatnonzero(nonzero)
-    g[r] = 0
-    if len(rows):
-        packed = np.cumsum(nonzero) - 1  # of each row, its place among rows
-        d_rows = scratch.u[:len(rows)]
+def _screen(cols: np.ndarray, tau: float) -> np.ndarray:
+    """Per row u of F = FFT2(C), whether it can hold an entry above tau.  Row u is
+    the DFT of its M nonzeros cols[u], so max_v |F[u, v]| <= sum_j |cols[u, j]|;
+    the margin covers the rounding of the FFT and of the sum."""
+    return np.abs(cols).sum(axis=1) > tau * (1.0 - _MARGIN)
+
+
+def _groups(rows: np.ndarray, h: int) -> list:
+    """The rows of a mask of grid rows, in order, in groups of at most h."""
+    made = rows.nonzero()[0]
+    return [made[i:i + h] for i in range(0, len(made), h)]
+
+
+def _is_run(rows: np.ndarray) -> bool:
+    """Whether the sorted rows are consecutive."""
+    return rows[-1] - rows[0] == len(rows) - 1
+
+
+def _places(rows: np.ndarray, idx: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
+    """Where the flat grid indices idx, in rows row among the sorted rows, are in
+    a buffer holding those rows packed in order, n entries each."""
+    if _is_run(rows):
+        return idx - rows[0] * n
+    return idx + (rows.searchsorted(row) - row) * n
+
+
+def _row_iffts(sup: _Support, sub: Subgrid, scratch: _RowBlocks, g: np.ndarray) -> None:
+    """The row IFFTs of D (sup.d on sup.idx) gathered at columns J into the
+    columns of g (M x N), of only the rows where D is nonzero: the others are
+    zeroed.  The rows are packed, in order, a buffer's worth at a time."""
+    rows = np.zeros(sub.n, dtype=bool)
+    rows[sup.row] = True
+    g.fill(0)
+    for some in _groups(rows, len(scratch.u)):
+        lo, hi = sup.row.searchsorted((some[0], some[-1] + 1))
+        d_rows = scratch.u[:len(some)]
         d_rows.fill(0)
-        d_rows.reshape(-1)[support + (packed[row] - row) * sub.n] = d
-        g[r.start + rows] = np.fft.ifft(d_rows, axis=1, out=d_rows)[:, sub.j]
+        d_rows.reshape(-1)[_places(some, sup.idx[lo:hi], sup.row[lo:hi], sub.n)] = sup.d[lo:hi]
+        y = np.fft.ifft(d_rows, axis=1, out=d_rows).T[sub.j]  # columns J of the rows
+        if _is_run(some):
+            g[:, some[0]:some[-1] + 1] = y
+        else:  # by flat indices: an index array on g's second axis is much slower
+            g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
 
 
 def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPool | None,
            scratch: _RowBlocks, f_out: np.ndarray, g_out: np.ndarray,
            s_true: np.ndarray | None = None) -> tuple[_SweepForm, ResidualRecord, float]:
     """Sweep k = s.k + 1: the new form, its residual record, and with s_true the
-    sum of squares of real(U_k)/N^2 - s_true (else 0).  F_k is written into
-    f_out (not s.f), D_{k+1}'s row IFFTs into g_out (it may be s.g).  The
-    per-block sums are added in block order: the same result with any pool."""
+    sum of squares of real(U_k)/N^2 - s_true (else 0).  F_k's runs of rows are
+    made in f_out (not s.f), D_{k+1}'s row IFFTs in g_out (it may be s.g).
+    Phase 1 makes rows of F_k a row block's worth at a time, on pool's threads
+    if given, and phase 2 does the support work once; the sums are added in
+    the same order with any pool."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
-    n, k, step = sub.n, s.k + 1, sub.blocks[0].stop
+    n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
-    c = const.b_j - (_ifft2(s.g, sub) - s.c) * (1.0 / (beta + 1.0))
+    c = const.b_j - (_ifft2(s.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
+    cols = _fft2(c, sub)
+    # Phase 1: the rows of F_k that can hold an entry above tau, the rows of t,
+    # and with s_true every row, as U_k needs them all (then each group is a row block)
+    need = _screen(cols, tau) if s_true is None else np.ones(n, dtype=bool)
+    need[t.row] = True
+    held = np.zeros(n, dtype=bool)  # the rows made in place, in f_out
 
-    def tail(r, v):  # v: rows r of F_k, in f_out
-        h, v1, fp1 = len(v), v.reshape(-1), s.f[r].reshape(-1)
-        (t, zt, dt), _ = s.z[r.start // step]  # Z_{k-1} and D_k on t
+    def grid_work(rows):  # a group of the rows of F_k, and where |V| > tau off t in them
+        first, last = rows[0], rows[-1] + 1
+        run = _is_run(rows)  # then made in place, and kept
+        if run:
+            held[first:last] = True
+        v = fft_rows(cols[first:last] if run else cols[rows], sub,
+                     f_out[first:last] if run else scratch.u[:len(rows)])
+        lo, hi = t.row.searchsorted((first, last))
+        on_t = _places(rows, t.idx[lo:hi], t.row[lo:hi], n)  # t's places in v
         ee = 0.0
         if s_true is not None:  # U_k = F_k - F_{k-1} + D_k, as _SweepForm.u makes it
-            u = np.subtract(v, s.f[r], out=scratch.u[:h])
-            u.reshape(-1)[t] += dt
-            err = np.divide(u.real, n**2, out=scratch.re[:h])
-            ee = _sum_squares(np.subtract(err, s_true[r], out=err))
-        # p: t, then where |V| > lambda / beta off t, with V = F_k + Z_{k-1} = F_k there
-        re = np.abs(v, out=scratch.re[:h]).reshape(-1)
-        re[t] = 0
-        found = np.flatnonzero(np.greater(re, tau, out=scratch.above[:h].reshape(-1)))
-        p = np.concatenate((t, found))
-        on_p = np.empty((7, len(p)), dtype=complex)  # rows, each the values of one vector at p
-        e, d, dz, d_next, x1, a, f = on_p
-        np.take(v1, p, out=f)
-        np.subtract(f, np.take(fp1, p, out=a), out=a)  # A = F_k - F_{k-1}
-        for x, values in ((x1, zt), (d, dt)):  # Z_{k-1} and D_k at p
-            x[:len(t)] = values
-            x[len(t):] = 0
-        z = soft_threshold(np.add(f, x1, out=e), tau)  # Z_k at p: 0 where |V| <= tau
-        np.subtract(z, x1, out=dz)  # Z_k - Z_{k-1}
-        np.subtract(d, z, out=e)  # E = D_k - Z_k
-        # off p U_k - Z_k = U_k = A and Y_k / beta = F_k; on p U_k = A + D_k, U_k - Z_k
-        # = A + E, Y_k / beta = F_k - (Z_k - Z_{k-1}); |A + E|^2 - |A|^2 = Re(E* (2A + E))
-        np.add(np.add(a, a, out=a), e, out=x1)
-        np.add(a, d, out=a)
-        np.subtract(dz, np.add(f, f, out=f), out=f)
-        rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
-        np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
-        kept = np.flatnonzero(np.logical_or(z != 0, dz != 0))  # where Z_k or Z_{k-1} is not 0
-        new = p[kept], z[kept], d_next[kept]
-        _row_iffts(scratch, new[0], new[2], sub, r, g_out)
-        return (new, (t, dt)), rr, _sum_squares(dz), uu, _sum_squares(z), yy, ee
+            u = np.subtract(v, s.f.grid[first:last], out=scratch.u[:len(rows)])
+            u.reshape(-1)[on_t] += t.d[lo:hi]
+            err = np.divide(u.real, n**2, out=scratch.re[:len(rows)])
+            ee = _sum_squares(np.subtract(err, s_true[first:last], out=err))
+        # V = F_k + Z_{k-1} = F_k off t
+        re = np.abs(v, out=scratch.re[:len(rows)]).reshape(-1)
+        re[on_t] = 0
+        hit = np.greater(re, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
+        if run:
+            found = hit + first * n
+        else:
+            slot, col = np.divmod(hit, n)
+            found = rows[slot] * n + col
+        v = v.reshape(-1)
+        return found, v.take(on_t), v.take(hit), ee
 
-    parts = _fft2(c, sub, n, pool, tail, f_out)
-    rr, dd, uu, zz, yy, ee = (sum(p[i] for p in parts) for i in range(1, 7))  # in block order
+    parts = map_blocks(grid_work, _groups(need, h), pool)
+    ee = sum(part[3] for part in parts)  # in row block order
+    # Phase 2: p is t then found, each sorted; F_{k-1} is made where found needs it
+    p, m = np.concatenate([t.idx] + [part[0] for part in parts]), len(t.idx)
+    lazy = s.f.fill(sub, scratch, p[m:] // n)
+    on_p = np.empty((8, len(p)), dtype=complex)  # rows, each the values of one vector at p
+    e, d, dz, d_next, x1, a, w, f = on_p
+    x1[:m], d[:m] = t.z, t.d  # Z_{k-1} and D_k at p
+    x1[m:], d[m:] = 0, 0
+    np.concatenate([_EMPTY[0]] + [part[1] for part in parts] + [part[2] for part in parts], out=f)
+    np.concatenate((t.f, s.f.grid.reshape(-1).take(p[m:])), out=a)
+    np.subtract(f, a, out=a)  # A = F_k - F_{k-1}
+
+    z = soft_threshold(np.add(f, x1, out=e), tau)  # Z_k at p: 0 where |V| <= tau
+    np.subtract(z, x1, out=dz)  # Z_k - Z_{k-1}
+    np.subtract(d, z, out=e)  # E = D_k - Z_k
+    # off p U_k - Z_k = U_k = A and Y_k / beta = F_k; on p U_k = A + D_k, U_k - Z_k
+    # = A + E, Y_k / beta = F_k - (Z_k - Z_{k-1}); |A + E|^2 - |A|^2 = Re(E* (2A + E))
+    np.add(np.add(a, a, out=a), e, out=x1)
+    np.add(a, d, out=a)
+    np.subtract(dz, np.add(f, f, out=w), out=w)
+    rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
+    np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
+    kept = np.logical_or(z != 0, dz != 0).nonzero()[0]  # where Z_k or Z_{k-1} is not 0
+    if len(p) > m:  # t's and found's kept entries: two sorted runs to merge
+        kept = kept[np.argsort(p[kept], kind="stable")]
+    new = _Support.of(n, p[kept], z[kept], d_next[kept], f[kept])
+    _row_iffts(new, sub, scratch, g_out)
+    dd, zz = _sum_squares(dz), _sum_squares(z)
     n2 = float(n * n)
     dc = n2 * _sum_squares(c - s.c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval
     rr, uu = rr + dc, uu + dc
     yy = beta**2 * (yy + n2 * _sum_squares(c))
     sums = (rr, dd, uu, zz, yy)
-    if not all(map(math.isfinite, sums)) and not (
-            np.all(np.isfinite(f_out)) and all(np.all(np.isfinite(p[0][0][1])) for p in parts)):
+    # F_k's rows not made are finite: they are at most tau
+    if not all(map(math.isfinite, sums)) and not (np.all(np.isfinite(cols))
+                                                  and np.all(np.isfinite(new.z))):
         raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
     # with finite entries, nan is inf - inf from sums that overflow, and below 0 is rounding
     rr, dd, uu, zz, yy = (math.inf if math.isnan(x) else max(x, 0.0) for x in sums)
     rec = ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=beta * math.sqrt(dd),
                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
-    return _SweepForm(c, f_out, s.f, 0.0, tuple(p[0] for p in parts), g_out, k), rec, ee
+    row_ffts = s.row_ffts + int(np.count_nonzero(need)) + lazy
+    return _SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts), rec, ee
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
@@ -378,20 +496,16 @@ def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
     if not (s is not None and state.sweep is const
             and s.dense[0] is state.z and s.dense[1] is state.y):
         s = _SweepForm.of(state, const, pool, scratch)
-    new, rec, _ = _sweep(s, const, cfg, pool, scratch, np.empty_like(s.f), np.empty_like(s.g))
+    new, rec, _ = _sweep(s, const, cfg, pool, scratch, np.empty_like(s.f.grid), np.empty_like(s.g))
+    new.complete(const.sub, scratch)
     # Y_k = beta (F_k + Z_{k-1} - Z_k) = beta (F_k + Z_k - D_{k+1})
-    z, y, step = np.zeros_like(new.f), np.array(new.f), const.sub.blocks[0].stop
-
-    def block(r):
-        (t, zt, d), _ = new.z[r.start // step]
-        z[r].reshape(-1)[t] = zt
-        y1 = y[r].reshape(-1)
-        y1[t] += zt
-        y1[t] -= d
-
-    map_blocks(block, const.sub.blocks, pool)
+    z, y, t = np.zeros_like(new.f.grid), np.array(new.f.grid), new.z
+    z.reshape(-1)[t.idx] = t.z
+    y1 = y.reshape(-1)
+    y1[t.idx] += t.z
+    y1[t.idx] -= t.d
     y *= cfg.beta
-    return AdmmState(u=new.u(const.sub, pool, np.empty_like(y)), z=z, y=y, k=new.k, sweep=const,
+    return AdmmState(u=new.u(np.empty_like(y)), z=z, y=y, k=new.k, sweep=const,
                      form=dataclasses.replace(new, dense=(z, y))), rec
 
 
@@ -433,7 +547,7 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, s_true: np.ndarray |
         start = time.perf_counter()
         for _ in range(cfg.max_iter):
             s, rec, err_ss = _sweep(s, const, cfg, pool, scratch, spare, s.g, s_true)
-            spare = s.f_prev
+            spare = s.f_prev.grid
             history.append(rec)
             first = history[0]
             converged = converged or (residual_check(rec)
@@ -442,8 +556,9 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, s_true: np.ndarray |
             if math.sqrt(err_ss / true_ss) <= target if s_true is not None else converged:
                 reason = "tolerance" if s_true is None else "error_target"
                 break
-        u = s.u(const.sub, pool, out=spare)  # over F_{k-1}
-    return SolveReport.from_iterate(u, history, converged, start, reason)
+        row_ffts = s.row_ffts + s.complete(const.sub, scratch)
+        u = s.u(out=spare)  # over F_{k-1}
+    return SolveReport.from_iterate(u, history, converged, start, reason, row_ffts)
 
 
 def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:

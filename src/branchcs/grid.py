@@ -31,6 +31,8 @@ __all__ = [
     "invert_full",
     "sampled_ifft2",
     "column_ifft",
+    "column_fft",
+    "fft_rows",
     "embedded_fft2",
     "sample_indices",
     "sampled_measurements",
@@ -148,7 +150,9 @@ class BlockPool:
                     return
                 results[i] = fn(blocks[i])
 
-        helpers = [self._executor.submit(drain) for _ in range(self.helpers)]
+        # no more helpers than blocks the caller leaves them
+        helpers = [self._executor.submit(drain)
+                   for _ in range(min(self.helpers, len(blocks) - 1))]
         try:
             drain()
         finally:
@@ -228,42 +232,46 @@ def column_ifft(cols: np.ndarray, indices=None) -> np.ndarray:
     return w if indices is None else w[Subgrid.of(len(cols), indices).j]
 
 
-def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None,
-                  each_block=None, out=None):
+def column_fft(c, indices=None, n: int | None = None) -> np.ndarray:
+    """The M column transforms that start embedded_fft2: c put on rows J of an
+    n x M zero array, transformed along axis 0.  Row u of FFT2 of c on J x J is
+    that array's row u put at columns J and transformed (fft_rows).  indices
+    is J, or a Subgrid of it (which gives n); plain fft2 if indices is None."""
+    if indices is None:
+        return np.fft.fft2(c)
+    if n is None and not isinstance(indices, Subgrid):
+        raise ValueError("the column transforms need the grid size n when indices are given")
+    sub = Subgrid.of(n, indices)
+    cols = np.zeros((sub.n, len(sub.j)), dtype=complex)
+    cols[sub.j] = c
+    return np.fft.fft(cols, axis=0, out=cols)
+
+
+def fft_rows(cols: np.ndarray, sub: Subgrid, out: np.ndarray) -> np.ndarray:
+    """The rows of FFT2 whose column transforms (rows of column_fft) are cols, at
+    most a row block's worth, into out, an array of len(cols) rows of n: each
+    row alone, so a row has the same bits whichever rows are made with it."""
+    out.fill(0)
+    out.reshape(-1)[sub.flat[:len(out)]] = cols  # scatter into columns J
+    return np.fft.fft(out, axis=1, out=out)
+
+
+def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None):
     """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
     plain fft2 if indices is None.
 
-    indices is J, or a Subgrid of it (which gives n).  The rows of the result
-    are made row block by row block, on pool's threads if given, in out: an
-    n x n array, or a function returning for a row slice r a (len(r), n)
-    array to make those rows in (so a caller can keep one block per thread);
-    without out, in a new n x n array.  With each_block, each_block(r, rows)
-    is called on the rows r of the result as soon as they are made (it may
-    overwrite them), and the list of its returns, in block order, is
-    returned instead of the grid.
+    indices is J, or a Subgrid of it (which gives n).  The rows are made row
+    block by row block, on pool's threads if given, in a new n x n array.
     """
     if indices is None:
         return np.fft.fft2(c)
     if n is None and not isinstance(indices, Subgrid):
         raise ValueError("embedded_fft2 needs the grid size n when indices are given")
     sub = Subgrid.of(n, indices)
-    n = sub.n
-    cols = np.zeros((n, len(sub.j)), dtype=complex)
-    cols[sub.j] = c
-    cols = np.fft.fft(cols, axis=0, out=cols)
-    if out is None:
-        out = np.empty((n, n), dtype=complex)
-    rows_of = out if callable(out) else out.__getitem__
-
-    def row_transform(r):
-        rows = rows_of(r)
-        rows.fill(0)
-        rows.reshape(-1)[sub.flat[:len(rows)]] = cols[r]  # scatter into columns J
-        np.fft.fft(rows, axis=1, out=rows)
-        return None if each_block is None else each_block(r, rows)
-
-    results = map_blocks(row_transform, sub.blocks, pool)
-    return out if each_block is None else results
+    cols = column_fft(c, sub)
+    out = np.empty((sub.n, sub.n), dtype=complex)
+    map_blocks(lambda r: fft_rows(cols[r], sub, out[r]), sub.blocks, pool)
+    return out
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

@@ -83,17 +83,19 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig, threads: int = 1) -> SolveRe
     s_prev = s_cur.copy()
     l_cur = cfg.l0
     history: list[PgdRecord] = []
-    converged = False
+    converged, transforms = False, 0  # restricted transform calls, N row transforms each
     with block_pool(threads, n) as pool:
         start = time.perf_counter()
         for k in range(1, cfg.max_iter + 1):
             omega = (k - 1) / (k + 2)  # k/(k+3) for the previous step index
             y = s_cur + omega * (s_cur - s_prev)
             f_y, g = _value_and_gradient(y, ms, pool=pool)
+            transforms += 2
             while True:
                 cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
                 diff = cand - y
                 quad = f_y + _real_inner(g, diff) + 0.5 * l_cur * _sum_squares(diff)
+                transforms += 1
                 if smooth_value(cand, ms, pool) <= quad + 1e-12 * max(1.0, abs(quad)):
                     break
                 l_cur *= cfg.c
@@ -106,4 +108,4 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig, threads: int = 1) -> SolveRe
                 converged = True
                 break
     return SolveReport.from_iterate(s_cur, history, converged, start,
-                                    "tolerance" if converged else "max_iter")
+                                    "tolerance" if converged else "max_iter", n * transforms)

@@ -159,9 +159,9 @@ def test_criterion_6_solver_ordering_and_scaling(hsc_model):
         print(f"\ncriterion 6 at N={n}: ADMM median {a_med:.4f}s < PGD median "
               f"{p_med:.4f}s at matched error")
     # Per-sweep cost of the loop recover runs, with its stopping rule off: it
-    # makes max_iter sweeps, then the last once more to write U.  A sweep is N
-    # row and M column transforms each way plus O(N^2) elementwise work, so
-    # its cost model is N (N + M) log2 N; M / N falls from 0.6 to 0.17 over
+    # makes max_iter sweeps and writes U from the last two F grids.  A sweep
+    # is N row and M column transforms each way plus O(N^2) elementwise work,
+    # so its cost model is N (N + M) log2 N; M / N falls from 0.6 to 0.17 over
     # these sizes.  N = 64 is left out: its sweep is bound by call overhead.
     # The sizes alternate over five rounds and each keeps its median: on a
     # shared host the speed can drift 2x within seconds.
@@ -176,7 +176,7 @@ def test_criterion_6_solver_ordering_and_scaling(hsc_model):
         for n, (ms, cfg) in runs.items():
             report = recover(ms, cfg)
             assert report.iterations == cfg.max_iter
-            rounds[n].append(report.wall_time / (report.iterations + 1))
+            rounds[n].append(report.wall_time / report.iterations)
     sweep_times = {n: statistics.median(times) for n, times in rounds.items()}
     print("criterion 6 sweep ms: "
           + ", ".join(f"N={n} {t * 1e3:.3f}" for n, t in sweep_times.items()))

@@ -33,6 +33,7 @@ from branchcs.grid import (
     invert_full,
     rel_l2_error,
     sample_indices,
+    sampled_measurements,
 )
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults
@@ -306,6 +307,21 @@ class TestThreads:
             with grid.block_pool(0, 8):
                 pass
 
+    def test_pool_starts_no_more_helpers_than_blocks_less_one(self, monkeypatch):
+        pool = grid.BlockPool(3)
+        try:
+            submitted = []
+            submit = pool._executor.submit
+            monkeypatch.setattr(pool._executor, "submit",
+                                lambda fn: submitted.append(fn) or submit(fn))
+            for blocks, helpers in (([], 0), ([slice(0, 1)], 0), ([slice(0, 1)] * 2, 1),
+                                    ([slice(0, 1)] * 9, 3)):
+                submitted.clear()
+                assert pool.map(lambda b: b, blocks) == blocks
+                assert len(submitted) == helpers
+        finally:
+            pool.close()
+
     def test_pool_takes_each_block_once_under_contention(self):
         # more threads than cores and a tiny switch interval, so a lost update shows
         blocks = [slice(i, i + 1) for i in range(300)]
@@ -453,3 +469,121 @@ class TestSparseSweep:
             state, _ = iterate(state, emb, mhat, cfg)
         nxt, _ = iterate(state, emb, mhat, cfg)
         assert np.array_equal(u_update(state, emb, mhat, cfg.beta), nxt.u)
+
+
+class TestScreen:
+    """A sweep makes only the rows of F_k whose L1 bound can cross lambda / beta
+    or that hold Z's support; it must give what making every row gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
+           st.floats(-1.0, 1.0), st.floats(-np.pi, np.pi))
+    def test_a_skipped_row_holds_no_entry_above_tau(self, log_n, seed, tau, nudge, phase):
+        n = 4 << log_n
+        rng = np.random.default_rng(seed)
+        sub = grid.Subgrid(n, np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)))
+        cols = rng.normal(size=(n, len(sub.j))) + 1j * rng.normal(size=(n, len(sub.j)))
+        # a third of the rows in phase, so one entry of their FFT is their L1 norm
+        cols[1::3] = np.abs(cols[1::3]) * np.exp(1j * phase)
+        # L1 norms within 1e-12 of tau, and of the screen's cut tau (1 - 1e-9)
+        l1 = np.abs(cols).sum(axis=1)
+        for rows, edge in ((slice(0, None, 2), tau), (slice(1, None, 2), tau * (1 - 1e-9))):
+            cols[rows] *= (edge * (1.0 + 1e-12 * nudge) / l1[rows])[:, None]
+        made = admm._screen(cols, tau)
+        assert made[np.abs(cols).sum(axis=1) > tau].all()
+        skipped = np.flatnonzero(~made)
+        for rows in np.array_split(skipped, max(1, -(-len(skipped) // len(sub.flat)))):
+            if len(rows):
+                out = np.empty((len(rows), n), dtype=complex)
+                assert np.abs(grid.fft_rows(cols[rows], sub, out)).max() <= tau
+
+    @pytest.fixture(scope="class")
+    def cases(self, hsc_model, bds_model):
+        """(name, measurements, config, truth) at HSC N=64 and 128, BDS N=128 and
+        lambda = 0, each with its preset and sampling seed 0."""
+        out = []
+        for name, model, n, lam in (("hsc-64", hsc_model, 64, None),
+                                    ("hsc-128", hsc_model, 128, None),
+                                    ("bds-128", bds_model, 128, None),
+                                    ("hsc-64-lambda-0", hsc_model, 64, 0.0)):
+            full = full_measurements(model, n)
+            m = default_m(n, DEFAULT_SPARSITY_K)
+            idx = sample_indices(n, m, 0)
+            ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
+            cfg = admm_defaults(model.kind, n, m, max_iter=30)
+            if lam is not None:
+                cfg = dataclasses.replace(cfg, lam=lam)
+            out.append((name, ms, cfg, invert_full(full)))
+        return out
+
+    @staticmethod
+    def runs(ms, cfg, truth, threads):
+        """recover, recover_to_error and a chain of iterate calls, as comparable tuples."""
+        target = 0.5 * rel_l2_error(recover(ms, dataclasses.replace(cfg, max_iter=5)).s_hat, truth)
+        out = []
+        for report in (recover(ms, cfg, threads),
+                       recover_to_error(ms, cfg, truth, target=target, threads=threads)):
+            out.append((report.s_hat, report.iterations, report.converged, report.history))
+        s_hat, history, converged = iterate_loop(ms, cfg, threads)
+        return out + [(s_hat, len(history), converged, history)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_screened_sweeps_equal_sweeps_of_every_row(self, cases, small_blocks, monkeypatch,
+                                                       threads):
+        for name, ms, cfg, truth in cases:
+            screened = self.runs(ms, cfg, truth, threads)
+            with monkeypatch.context() as every_row:
+                every_row.setattr(admm, "_screen", lambda cols, tau: np.ones(len(cols), bool))
+                unscreened = self.runs(ms, cfg, truth, threads)
+            for a, b in zip(screened, unscreened):
+                assert np.array_equal(a[0], b[0]), name
+                assert a[1:] == b[1:], name
+
+    def test_rows_of_the_previous_grid_are_made_when_found(self, small_blocks, monkeypatch):
+        # at N=32 a row block is 3 rows, so some rows of F_{k-1} were made in a
+        # buffer and not kept; an entry found in one makes that row again
+        ms, truth = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=60)
+        made = []
+        fill = admm._FGrid.fill
+
+        def counting_fill(self, sub, scratch, rows=None):
+            count = fill(self, sub, scratch, rows)
+            if rows is not None:
+                made.append(count)
+            return count
+
+        monkeypatch.setattr(admm._FGrid, "fill", counting_fill)
+        report = recover(ms, cfg)
+        assert sum(made) > 0
+        monkeypatch.setattr(admm, "_screen", lambda cols, tau: np.ones(len(cols), bool))
+        made.clear()
+        every_row = recover(ms, cfg)
+        assert sum(made) == 0
+        assert np.array_equal(report.s_hat, every_row.s_hat)
+        assert report.history == every_row.history
+
+    @pytest.mark.parametrize("s_true", [False, True])
+    def test_row_ffts_counts_every_row_made(self, small_blocks, monkeypatch, s_true):
+        # the rows a sweep makes, those made again when found, and the final U's
+        ms, truth = toy_measurements(32, 20, 5)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=60)
+        rows = []
+        real = admm.fft_rows
+
+        def counting(cols, sub, out):
+            rows.append(len(out))
+            return real(cols, sub, out)
+
+        monkeypatch.setattr(admm, "fft_rows", counting)
+        report = (recover_to_error(ms, cfg, truth, target=0.05) if s_true
+                  else recover(ms, cfg))
+        assert report.row_ffts == sum(rows) < (report.iterations + 2) * 32
+
+    def test_screen_engages_at_hsc_128(self, hsc_model):
+        n = 128
+        m = default_m(n, DEFAULT_SPARSITY_K)
+        ms = sampled_measurements(hsc_model, n, sample_indices(n, m, 0), seed=0)
+        report = recover(ms, admm_defaults("hsc", n, m))
+        assert report.converged
+        assert report.row_ffts < 0.3 * report.iterations * n

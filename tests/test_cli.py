@@ -115,7 +115,8 @@ class TestRecover:
         s_hat = read_matrix(out / "S_hat.bpm")
         # the new keys come after the old ones, which keep their order
         assert list(report) == ["iterations", "converged", "wall_time", "max_imag", "history",
-                                "s_hat", "stop_reason"]
+                                "s_hat", "stop_reason", "row_ffts"]
+        assert report["row_ffts"] > 0
         # recover stops at the first sweep that meets its stopping rule
         assert report["stop_reason"] == ("tolerance" if report["converged"] else "max_iter")
         assert report["s_hat"] == {"total_mass": float(s_hat.sum()),

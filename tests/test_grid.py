@@ -8,15 +8,16 @@ from branchcs.grid import (
     MeasurementSet,
     Subgrid,
     block_pool,
+    column_fft,
     column_ifft,
     default_m,
     embed_measurements,
     embedded_fft2,
+    fft_rows,
     full_measurements,
     invert_full,
     map_blocks,
     rel_l2_error,
-    row_blocks,
     sample_indices,
     sampled_ifft2,
     sampled_measurements,
@@ -197,9 +198,15 @@ class TestRestrictedTransforms:
                 assert np.array_equal(column_ifft(cols), np.fft.ifft(cols, axis=0))
                 assert np.array_equal(embedded_fft2(c, j, n, p), want_fft)
                 assert np.array_equal(embedded_fft2(c, sub, None, p), want_fft)
-                blocks = embedded_fft2(c, sub, n, p, lambda r, rows: (r, rows.copy()))
-                assert [r for r, _ in blocks] == row_blocks(n)
-                assert np.array_equal(np.concatenate([rows for _, rows in blocks]), want_fft)
+        # any rows of FFT2, made alone or packed together from the column transforms,
+        # have the bits of the whole grid's rows, as the ADMM sweep's screen needs
+        embedded = np.zeros((n, len(j)), dtype=complex)
+        embedded[j] = c
+        cols = column_fft(c, sub)
+        assert np.array_equal(cols, np.fft.fft(embedded, axis=0))
+        for rows in ([5], [0, 1, 2], [3, 10, 31], [30, 31]):  # at most a row block's worth
+            out = np.empty((len(rows), n), dtype=complex)
+            assert np.array_equal(fft_rows(cols[rows], sub, out), want_fft[rows])
 
 
 def test_rel_l2_error():

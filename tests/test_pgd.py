@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from branchcs import pgd
 from branchcs.admm import AdmmConfig, recover, recover_to_error
 from branchcs.errors import ShapeMismatch
 from branchcs.grid import (
@@ -107,6 +108,16 @@ def test_thread_count_leaves_fista_unchanged(small_blocks):
     for other in runs[1:]:
         assert np.array_equal(other.s_hat, runs[0].s_hat)
         assert other.history == runs[0].history
+
+
+def test_row_ffts_counts_n_rows_per_transform(monkeypatch):
+    ms, _ = toy_measurements(32, 20, 3)
+    calls = []
+    for name in ("_fft2", "_ifft2"):
+        real = getattr(pgd, name)
+        monkeypatch.setattr(pgd, name, lambda *args, real=real: calls.append(1) or real(*args))
+    report = pgd_recover(ms, PgdConfig(lam=1.0, max_iter=40))
+    assert report.row_ffts == 32 * len(calls) >= 32 * 3 * report.iterations
 
 
 def test_matched_accuracy_counts_at_bds_256(bds_model):
