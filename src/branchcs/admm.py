@@ -47,8 +47,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (BlockPool, MeasurementSet, Subgrid, block_pool, column_fft, column_ifft,
-                   fft_rows, map_blocks, sampled_ifft2)
+from .grid import (BlockPool, MeasurementSet, Subgrid, _groups, _is_run, _places, _row_iffts,
+                   _screen, block_pool, column_fft, column_ifft, fft_rows, map_blocks,
+                   sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -60,8 +61,6 @@ __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mh
 _fft2 = column_fft
 _ifft2 = column_ifft
 
-# a row of FFT2(C) whose L1 bound is at most tau (1 - _MARGIN) is not made
-_MARGIN = 1e-9
 _NONE = np.empty(0, dtype=np.intp)
 _EMPTY = (np.empty(0, dtype=complex),) * 3
 
@@ -222,7 +221,7 @@ class _SweepForm:
         values = z[support].astype(complex)
         z = _Support.of(sub.n, support, values, values + values,  # D_{k+1} = 2 Z_k
                         f.reshape(-1)[support])
-        _row_iffts(z, sub, scratch, g)
+        _row_iffts(z.idx, z.row, z.d, sub, scratch.u, g)
         c = column_ifft(cols, sub)
         return cls(c, _FGrid(f, None, np.ones(sub.n, dtype=bool)), None,
                    _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
@@ -282,7 +281,8 @@ class SolveReport:
         """Scalars and residual history (the matrix is written separately); s_hat's
         total mass, most negative entry and dropped imaginary part; and why the
         solver stopped: tolerance, max_iter or error_target; and how many length-N
-        row transforms of the grid the solver made (ADMM: rows of F grids)."""
+        row transforms of the grid the solver made (ADMM: rows of F grids; FISTA:
+        the gradient's rows and the candidates' row IFFTs)."""
         return {
             "iterations": self.iterations,
             "converged": self.converged,
@@ -305,18 +305,22 @@ def build_mhat(n: int, indices, beta: float) -> np.ndarray:
     return beta + np.kron(p, p)
 
 
-def soft_threshold(v, tau: float):
-    """Complex magnitude shrinkage, the prox of tau * ||.||_1, into a new array:
-    v * max(1 - tau/|v|, 0), sign(v) max(|v|-tau, 0) on reals; 0 maps to 0, and
-    everything to 0 when tau is infinite."""
+def soft_threshold(v, tau: float, out: np.ndarray | None = None):
+    """Complex magnitude shrinkage, the prox of tau * ||.||_1, into out (which may
+    be v) or else a new array: v * max(1 - tau/|v|, 0), sign(v) max(|v|-tau, 0)
+    on reals; 0 maps to 0, and everything to 0 when tau is infinite."""
     v = np.asarray(v)
-    if tau == 0 or tau == math.inf:
-        return np.positive(v) if tau == 0 else np.zeros_like(v)  # a new array
+    if tau == 0:
+        return np.positive(v, out=out)
+    if tau == math.inf:
+        out = np.empty_like(v) if out is None else out
+        out[...] = 0
+        return out
     # 1 - tau / max(|v|, tau) is exactly 0 where |v| <= tau, and never divides by 0
     scale = np.abs(v, out=np.empty(v.shape))  # an array even for 0-d v
     np.maximum(scale, tau, out=scale)
     np.divide(tau, scale, out=scale)
-    return np.multiply(v, np.subtract(1.0, scale, out=scale))
+    return np.multiply(v, np.subtract(1.0, scale, out=scale), out=out)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -336,51 +340,6 @@ def _real_inners(a: np.ndarray, b: np.ndarray) -> list:
 def _sum_squares(a: np.ndarray) -> float:
     """Sum of |a|^2, as _real_inner(a, a)."""
     return _real_inner(a, a)
-
-
-def _screen(cols: np.ndarray, tau: float) -> np.ndarray:
-    """Per row u of F = FFT2(C), whether it can hold an entry above tau.  Row u is
-    the DFT of its M nonzeros cols[u], so max_v |F[u, v]| <= sum_j |cols[u, j]|;
-    the margin covers the rounding of the FFT and of the sum."""
-    return np.abs(cols).sum(axis=1) > tau * (1.0 - _MARGIN)
-
-
-def _groups(rows: np.ndarray, h: int) -> list:
-    """The rows of a mask of grid rows, in order, in groups of at most h."""
-    made = rows.nonzero()[0]
-    return [made[i:i + h] for i in range(0, len(made), h)]
-
-
-def _is_run(rows: np.ndarray) -> bool:
-    """Whether the sorted rows are consecutive."""
-    return rows[-1] - rows[0] == len(rows) - 1
-
-
-def _places(rows: np.ndarray, idx: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
-    """Where the flat grid indices idx, in rows row among the sorted rows, are in
-    a buffer holding those rows packed in order, n entries each."""
-    if _is_run(rows):
-        return idx - rows[0] * n
-    return idx + (rows.searchsorted(row) - row) * n
-
-
-def _row_iffts(sup: _Support, sub: Subgrid, scratch: _RowBlocks, g: np.ndarray) -> None:
-    """The row IFFTs of D (sup.d on sup.idx) gathered at columns J into the
-    columns of g (M x N), of only the rows where D is nonzero: the others are
-    zeroed.  The rows are packed, in order, a buffer's worth at a time."""
-    rows = np.zeros(sub.n, dtype=bool)
-    rows[sup.row] = True
-    g.fill(0)
-    for some in _groups(rows, len(scratch.u)):
-        lo, hi = sup.row.searchsorted((some[0], some[-1] + 1))
-        d_rows = scratch.u[:len(some)]
-        d_rows.fill(0)
-        d_rows.reshape(-1)[_places(some, sup.idx[lo:hi], sup.row[lo:hi], sub.n)] = sup.d[lo:hi]
-        y = np.fft.ifft(d_rows, axis=1, out=d_rows).T[sub.j]  # columns J of the rows
-        if _is_run(some):
-            g[:, some[0]:some[-1] + 1] = y
-        else:  # by flat indices: an index array on g's second axis is much slower
-            g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
 
 
 def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPool | None,
@@ -457,7 +416,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPo
     if len(p) > m:  # t's and found's kept entries: two sorted runs to merge
         kept = kept[np.argsort(p[kept], kind="stable")]
     new = _Support.of(n, p[kept], z[kept], d_next[kept], f[kept])
-    _row_iffts(new, sub, scratch, g_out)
+    _row_iffts(new.idx, new.row, new.d, sub, scratch.u, g_out)
     dd, zz = _sum_squares(dz), _sum_squares(z)
     n2 = float(n * n)
     dc = n2 * _sum_squares(c - s.c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval

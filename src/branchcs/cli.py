@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--format", choices=["bin", "csv"], default="bin")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the solvers' transforms and sweeps "
+                        help="worker threads for the ADMM sweeps; FISTA runs on one "
                              "(results do not depend on it)")
     grid_size = argparse.ArgumentParser(add_help=False)
     grid_size.add_argument("--n", type=int, required=True)

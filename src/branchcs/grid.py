@@ -256,6 +256,60 @@ def fft_rows(cols: np.ndarray, sub: Subgrid, out: np.ndarray) -> np.ndarray:
     return np.fft.fft(out, axis=1, out=out)
 
 
+# a row of FFT2 whose L1 bound is at most tau (1 - _MARGIN) is not made
+_MARGIN = 1e-9
+
+
+def _screen(cols: np.ndarray, tau: float) -> np.ndarray:
+    """Per row u of F = FFT2(C), whether it can hold an entry above tau.  Row u is
+    the DFT of its M nonzeros cols[u], so max_v |F[u, v]| <= sum_j |cols[u, j]|;
+    the margin covers the rounding of the FFT and of the sum.  A row whose bound
+    is not finite passes, so that what it holds is made and seen."""
+    return ~(np.abs(cols).sum(axis=1) <= tau * (1.0 - _MARGIN))
+
+
+def _groups(rows: np.ndarray, h: int) -> list:
+    """The rows of a mask of grid rows, in order, in groups of at most h."""
+    made = rows.nonzero()[0]
+    return [made[i:i + h] for i in range(0, len(made), h)]
+
+
+def _is_run(rows: np.ndarray) -> bool:
+    """Whether the sorted rows are consecutive."""
+    return rows[-1] - rows[0] == len(rows) - 1
+
+
+def _places(rows: np.ndarray, idx: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
+    """Where the flat grid indices idx, in rows row among the sorted rows, are in
+    a buffer holding those rows packed in order, n entries each."""
+    if len(rows) and _is_run(rows):
+        return idx - rows[0] * n
+    return idx + (rows.searchsorted(row) - row) * n
+
+
+def _row_iffts(idx: np.ndarray, row: np.ndarray, values: np.ndarray, sub: Subgrid,
+               buf: np.ndarray, g: np.ndarray) -> int:
+    """The row IFFTs of the grid that holds values at the sorted flat indices idx
+    (in rows row) and 0 elsewhere, gathered at columns J into the columns of g
+    (M x N), of only the rows that hold an index: the others are zeroed.  The
+    rows are packed, in order, len(buf) at a time; returns how many were made."""
+    rows = np.zeros(sub.n, dtype=bool)
+    rows[row] = True
+    g.fill(0)
+    groups = _groups(rows, len(buf))
+    for some in groups:
+        lo, hi = row.searchsorted((some[0], some[-1] + 1))
+        packed = buf[:len(some)]
+        packed.fill(0)
+        packed.reshape(-1)[_places(some, idx[lo:hi], row[lo:hi], sub.n)] = values[lo:hi]
+        y = np.fft.ifft(packed, axis=1, out=packed).T[sub.j]  # columns J of the rows
+        if _is_run(some):
+            g[:, some[0]:some[-1] + 1] = y
+        else:  # by flat indices: an index array on g's second axis is much slower
+            g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
+    return sum(map(len, groups))
+
+
 def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None):
     """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
     plain fft2 if indices is None.

@@ -3,7 +3,7 @@
 import numpy as np
 
 from branchcs.admm import AdmmState, soft_threshold
-from branchcs.grid import MeasurementSet
+from branchcs.grid import MeasurementSet, embedded_fft2, sampled_ifft2
 
 
 def dense_u_solve(ms: MeasurementSet, beta: float, z: np.ndarray,
@@ -37,3 +37,40 @@ def dense_sweep(ms: MeasurementSet, beta: float, lam: float,
     z_new = soft_threshold(u_new + state.y / beta, lam / beta)
     y_new = state.y + beta * (u_new - z_new)
     return AdmmState(u=u_new, z=z_new, y=y_new, k=state.k + 1)
+
+
+def dense_pgd(ms: MeasurementSet, cfg):
+    """FISTA on dense N x N grids, the loop pgd_recover replaced: every iterate
+    is a full grid and each iteration makes three restricted transform sets
+    (forward of Y, the gradient, forward of the candidate).  Returns the list of
+    iterates S_1, S_2, ..., the (k, rel_change, l_used) records and whether the
+    relative change fell below cfg.tol."""
+    n = ms.n
+
+    def smooth(s):
+        return 0.5 * n**2 * np.sum(np.abs(sampled_ifft2(s, ms.indices) - ms.b) ** 2)
+
+    s_cur = np.zeros((n, n), dtype=complex)
+    s_prev = s_cur.copy()
+    l_cur = cfg.l0
+    iterates, history = [], []
+    for k in range(1, cfg.max_iter + 1):
+        omega = (k - 1) / (k + 2)
+        y = s_cur + omega * (s_cur - s_prev)
+        resid = sampled_ifft2(y, ms.indices) - ms.b
+        f_y = 0.5 * n**2 * np.sum(np.abs(resid) ** 2)
+        g = embedded_fft2(resid, ms.indices, n)
+        while True:
+            cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
+            diff = cand - y
+            quad = f_y + np.real(np.vdot(g, diff)) + 0.5 * l_cur * np.sum(np.abs(diff) ** 2)
+            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+                break
+            l_cur *= cfg.c
+        rel = np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0)
+        history.append((k, rel, l_cur))
+        iterates.append(cand)
+        s_prev, s_cur = s_cur, cand
+        if rel < cfg.tol:
+            return iterates, history, True
+    return iterates, history, False
