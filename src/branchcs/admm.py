@@ -21,25 +21,22 @@ lambda / beta holds no entry the prox keeps unless t is in it: a safe screen
 forms C_k and does the M column FFTs; then, in two phases:
   1. the rows of F_k that pass the screen or hold t (every row when the error
      against a truth is tracked, which needs all of U_k) are made a row
-     block's worth at a time, on a pool of threads if asked, and thresholded
-     at lambda / beta;
+     block's worth at a time and thresholded at lambda / beta;
   2. once, over all of p = t and the entries found, the prox, the sums of
      squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1} and the row
      IFFTs of the rows where D_{k+1} is nonzero.
 A run of rows made is kept in its F grid; a row made in a buffer is not, and
 where an entry found at sweep k + 1 lies in a row F_k does not hold, that row
-is made then from the kept column transforms, with the same bits.  No result
-depends on the thread count.  U is written once, when a run stops, after
-every missing row of the last two F grids is made.  iterate is the dense API
-over the same sweep: (Z, Y) enters as F = Y / beta + Z, Z_{k-2} = 0 and
-C = IFFT2(F)[J, J].
+is made then from the kept column transforms, with the same bits.  U is
+written once, when a run stops, after every missing row of the last two F
+grids is made.  iterate is the dense API over the same sweep: (Z, Y) enters
+as F = Y / beta + Z, Z_{k-2} = 0 and C = IFFT2(F)[J, J].
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -47,9 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (BlockPool, MeasurementSet, Subgrid, _groups, _is_run, _places, _row_iffts,
-                   _screen, block_pool, column_fft, column_ifft, fft_rows, map_blocks,
-                   sampled_ifft2)
+from .grid import (MeasurementSet, Subgrid, _groups, _is_run, _places, _row_iffts, _screen,
+                   column_fft, column_ifft, fft_rows, sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -83,10 +79,12 @@ class AdmmConfig:
     min_drop: float = 1e-2
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if self.lam < 0:
+        if not 0 < self.beta < math.inf:  # False for NaN
+            raise ValueError("beta must be finite and > 0")
+        if not self.lam >= 0:  # inf is allowed: u_update uses it
             raise ValueError("lam must be >= 0")
+        if not (self.eps_abs >= 0 and self.eps_rel >= 0):
+            raise ValueError("eps_abs and eps_rel must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -204,25 +202,20 @@ class _SweepForm:
     dense: tuple = (None, None)
 
     @classmethod
-    def of(cls, state: AdmmState, const: _SweepConstants, pool: BlockPool | None,
-           scratch: _RowBlocks) -> _SweepForm:
+    def of(cls, state: AdmmState, const: _SweepConstants, scratch: _RowBlocks) -> _SweepForm:
         """A dense state's form: F = Y / beta + Z, Z_{k-1} = 0, C = IFFT2(F)[J, J]."""
         sub = const.sub
         f = np.array(state.y, dtype=complex, order="C")
         f *= 1.0 / const.beta
         f += state.z
-        g, cols = (np.empty(shape, dtype=complex) for shape in ((len(sub.j), sub.n),
-                                                               (sub.n, len(sub.j))))
-        # the row IFFTs of F at columns J, made in the thread's buffer
-        map_blocks(lambda r: sub.gather(np.fft.ifft(f[r], axis=1, out=scratch.u[:r.stop - r.start]),
-                                        r, cols), sub.blocks, pool)
+        g = np.empty((len(sub.j), sub.n), dtype=complex)
         z = np.ravel(state.z)
         support = np.flatnonzero(z)
         values = z[support].astype(complex)
         z = _Support.of(sub.n, support, values, values + values,  # D_{k+1} = 2 Z_k
                         f.reshape(-1)[support])
         _row_iffts(z.idx, z.row, z.d, sub, scratch.u, g)
-        c = column_ifft(cols, sub)
+        c = sampled_ifft2(f, sub)
         return cls(c, _FGrid(f, None, np.ones(sub.n, dtype=bool)), None,
                    _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
                    _Support.of(sub.n, _NONE, *_EMPTY), g, state.k)
@@ -238,12 +231,12 @@ class _SweepForm:
         return out
 
 
-class _RowBlocks(threading.local):
-    """One thread's buffers for a row block's worth of rows, kept for the run so
-    no sweep allocates a grid."""
+class _RowBlocks:
+    """Buffers for a row block's worth of rows, kept for the run so no sweep
+    allocates a grid."""
 
     def __init__(self, sub: Subgrid):
-        h, n = sub.blocks[0].stop, sub.n
+        h, n = len(sub.flat), sub.n
         self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
 
 
@@ -325,7 +318,8 @@ def soft_threshold(v, tau: float, out: np.ndarray | None = None):
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a, b> over two float64 or complex128 arrays of one shape, 1-d or 2-d
-    with contiguous rows, without BLAS (whose idle threads spin against ours)."""
+    with contiguous rows, without BLAS (whose threads stall a call while another
+    process holds a core)."""
     if a.ndim == 1:
         a, b = a[None], b[None]
     # a complex entry is its (re, im) pair
@@ -342,15 +336,14 @@ def _sum_squares(a: np.ndarray) -> float:
     return _real_inner(a, a)
 
 
-def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPool | None,
-           scratch: _RowBlocks, f_out: np.ndarray, g_out: np.ndarray,
+def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _RowBlocks,
+           f_out: np.ndarray, g_out: np.ndarray,
            s_true: np.ndarray | None = None) -> tuple[_SweepForm, ResidualRecord, float]:
     """Sweep k = s.k + 1: the new form, its residual record, and with s_true the
     sum of squares of real(U_k)/N^2 - s_true (else 0).  F_k's runs of rows are
     made in f_out (not s.f), D_{k+1}'s row IFFTs in g_out (it may be s.g).
-    Phase 1 makes rows of F_k a row block's worth at a time, on pool's threads
-    if given, and phase 2 does the support work once; the sums are added in
-    the same order with any pool."""
+    Phase 1 makes rows of F_k a row block's worth at a time, and phase 2 does
+    the support work once."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
     n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
@@ -389,7 +382,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, pool: BlockPo
         v = v.reshape(-1)
         return found, v.take(on_t), v.take(hit), ee
 
-    parts = map_blocks(grid_work, _groups(need, h), pool)
+    parts = [grid_work(rows) for rows in _groups(need, h)]
     ee = sum(part[3] for part in parts)  # in row block order
     # Phase 2: p is t then found, each sorted; F_{k-1} is made where found needs it
     p, m = np.concatenate([t.idx] + [part[0] for part in parts]), len(t.idx)
@@ -444,18 +437,17 @@ def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
 
 
 def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
-            cfg: AdmmConfig, pool: BlockPool | None = None) -> tuple[AdmmState, ResidualRecord]:
+            cfg: AdmmConfig) -> tuple[AdmmState, ResidualRecord]:
     """One full ADMM sweep, recover's, on dense states: the new state and its
     residual record.  A state iterate did not return is put in the sweep's
-    form.  Row blocks run on pool's threads if given, with the same result;
-    the input state is not modified."""
+    form; the input state is not modified."""
     const = _SweepConstants.of(state, embedded_b, mhat, cfg.beta)
     scratch = _RowBlocks(const.sub)
     s = state.form
     if not (s is not None and state.sweep is const
             and s.dense[0] is state.z and s.dense[1] is state.y):
-        s = _SweepForm.of(state, const, pool, scratch)
-    new, rec, _ = _sweep(s, const, cfg, pool, scratch, np.empty_like(s.f.grid), np.empty_like(s.g))
+        s = _SweepForm.of(state, const, scratch)
+    new, rec, _ = _sweep(s, const, cfg, scratch, np.empty_like(s.f.grid), np.empty_like(s.g))
     new.complete(const.sub, scratch)
     # Y_k = beta (F_k + Z_{k-1} - Z_k) = beta (F_k + Z_k - D_{k+1})
     z, y, t = np.zeros_like(new.f.grid), np.array(new.f.grid), new.z
@@ -473,24 +465,23 @@ def residual_check(rec: ResidualRecord) -> bool:
     return rec.r_norm <= rec.eps_pri and rec.s_norm <= rec.eps_dual
 
 
-def recover(ms: MeasurementSet, cfg: AdmmConfig, threads: int = 1) -> SolveReport:
-    """Run ADMM from zero until the stopping criterion or max_iter sweeps; threads
-    sets the sweep's worker threads, on which the result does not depend."""
-    return _run(ms, cfg, threads)
+def recover(ms: MeasurementSet, cfg: AdmmConfig) -> SolveReport:
+    """Run ADMM from zero until the stopping criterion or max_iter sweeps."""
+    return _run(ms, cfg)
 
 
 def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
-                     target: float, threads: int = 1) -> SolveReport:
+                     target: float) -> SolveReport:
     """Run ADMM until rel_l2_error(real(U)/N^2, s_true) <= target or max_iter
     sweeps, the protocol for comparing solvers at matched accuracy; converged
     still says whether recover's stopping rule held."""
     s_true = np.ascontiguousarray(s_true, dtype=float)
     if s_true.shape != (ms.n, ms.n):
         raise ShapeMismatch(f"s_true must be {(ms.n, ms.n)}, got {s_true.shape}")
-    return _run(ms, cfg, threads, s_true, target)
+    return _run(ms, cfg, s_true, target)
 
 
-def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, s_true: np.ndarray | None = None,
+def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
          target: float = 0.0) -> SolveReport:
     """Sweeps from zero until the error against s_true is at most target, or without
     it until the stopping rule holds; converged says if that rule held at any sweep."""
@@ -499,24 +490,23 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, threads: int, s_true: np.ndarray |
     true_ss = None if s_true is None else _sum_squares(s_true)  # rel_l2_error's, taken once
     history: list[ResidualRecord] = []
     converged, reason = False, "max_iter"
-    with block_pool(threads, ms.n) as pool:
-        # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
-        spare = zeros = np.zeros((ms.n, ms.n), dtype=complex)
-        s = _SweepForm.of(AdmmState(u=zeros, z=zeros, y=zeros), const, pool, scratch)
-        start = time.perf_counter()
-        for _ in range(cfg.max_iter):
-            s, rec, err_ss = _sweep(s, const, cfg, pool, scratch, spare, s.g, s_true)
-            spare = s.f_prev.grid
-            history.append(rec)
-            first = history[0]
-            converged = converged or (residual_check(rec)
-                                      and rec.r_norm <= cfg.min_drop * first.r_norm
-                                      and rec.s_norm <= cfg.min_drop * first.s_norm)
-            if math.sqrt(err_ss / true_ss) <= target if s_true is not None else converged:
-                reason = "tolerance" if s_true is None else "error_target"
-                break
-        row_ffts = s.row_ffts + s.complete(const.sub, scratch)
-        u = s.u(out=spare)  # over F_{k-1}
+    # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
+    spare = zeros = np.zeros((ms.n, ms.n), dtype=complex)
+    s = _SweepForm.of(AdmmState(u=zeros, z=zeros, y=zeros), const, scratch)
+    start = time.perf_counter()
+    for _ in range(cfg.max_iter):
+        s, rec, err_ss = _sweep(s, const, cfg, scratch, spare, s.g, s_true)
+        spare = s.f_prev.grid
+        history.append(rec)
+        first = history[0]
+        converged = converged or (residual_check(rec)
+                                  and rec.r_norm <= cfg.min_drop * first.r_norm
+                                  and rec.s_norm <= cfg.min_drop * first.s_norm)
+        if math.sqrt(err_ss / true_ss) <= target if s_true is not None else converged:
+            reason = "tolerance" if s_true is None else "error_target"
+            break
+    row_ffts = s.row_ffts + s.complete(const.sub, scratch)
+    u = s.u(out=spare)  # over F_{k-1}
     return SolveReport.from_iterate(u, history, converged, start, reason, row_ffts)
 
 

@@ -90,6 +90,9 @@ def _solver(args, kind: str, n: int, m: int):
             eps_abs=args.eps_abs,
             eps_rel=args.eps_rel,
         )
+    for flag in ("beta", "eps_abs", "eps_rel"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag.replace('_', '-')} is an ADMM flag; --solver pgd takes none")
     lam = args.lam if args.lam is not None else pgd_lambda(kind, m)
     return pgd.pgd_recover, pgd.PgdConfig(lam=lam, max_iter=args.max_iter)
 
@@ -113,7 +116,7 @@ def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
     solve, solver_cfg = _solver(args, model.kind, n, m)
     indices = sample_indices(n, m, args.seed)
     ms = sampled_measurements(model, n, indices, seed=args.seed)
-    report = solve(ms, solver_cfg, args.threads)
+    report = solve(ms, solver_cfg)
     s_path = _write_matrix(out_dir / "S_hat", report.s_hat, args.format)
     msg = f"wrote {s_path}: {report.iterations} iterations, converged={report.converged}"
     metrics = {}
@@ -159,7 +162,7 @@ def cmd_sweep(args, model, out_dir: Path) -> tuple[dict, str]:
     rows = []
     for value, solver_cfg in zip(values, configs):
         try:
-            report = admm.recover(ms, solver_cfg, args.threads)
+            report = admm.recover(ms, solver_cfg)
             rows.append([value, rel_l2_error(report.s_hat, s_true),
                          report.iterations, round(report.wall_time, 3)])
         except BranchCSError as exc:
@@ -190,9 +193,9 @@ def cmd_bench(args, model, out_dir: Path) -> tuple[dict, str]:
         s_true, subgrids = _exact_and_subgrids(model, n, m, range(args.trials))
         walls, errs = {"pgd": [], "admm": []}, {"pgd": [], "admm": []}
         for ms in subgrids:
-            p_rep = pgd.pgd_recover(ms, p_cfg, args.threads)
+            p_rep = pgd.pgd_recover(ms, p_cfg)
             p_err = rel_l2_error(p_rep.s_hat, s_true)
-            a_rep = admm.recover_to_error(ms, a_cfg, s_true, target=p_err, threads=args.threads)
+            a_rep = admm.recover_to_error(ms, a_cfg, s_true, target=p_err)
             a_err = rel_l2_error(a_rep.s_hat, s_true)
             for solver, rep, err in (("pgd", p_rep, p_err), ("admm", a_rep, a_err)):
                 walls[solver].append(rep.wall_time)
@@ -223,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".", help="output directory")
     common.add_argument("--format", choices=["bin", "csv"], default="bin")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the ADMM sweeps; FISTA runs on one "
-                             "(results do not depend on it)")
+                        help="accepted and ignored: every solver runs on the calling thread")
     grid_size = argparse.ArgumentParser(add_help=False)
     grid_size.add_argument("--n", type=int, required=True)
     sampling = argparse.ArgumentParser(add_help=False)

@@ -8,9 +8,6 @@ here in invert_full and in the ADMM module's final rescale.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +20,6 @@ __all__ = [
     "BLOCK_ELEMENTS",
     "check_grid_size",
     "row_blocks",
-    "BlockPool",
-    "block_pool",
-    "map_blocks",
     "Subgrid",
     "full_measurements",
     "invert_full",
@@ -109,11 +103,10 @@ def invert_full(b_full: np.ndarray) -> np.ndarray:
     return np.real(np.fft.fft2(b_full)) / n**2
 
 
-# Row blocks of the restricted transforms hold about this many grid entries
-# (2**15 complex values, 512 KB, so a block's row transform and the work done
-# on it stay in cache).  The partition depends only on the grid, never on the
-# number of workers, so whatever is reduced block by block adds up in the
-# same order for any thread count.
+# The solvers make the rows of a grid a row block's worth at a time: about
+# this many entries (2**15 complex values, 512 KB, so a block's row transforms
+# and the work done on them stay in cache).  The blocks depend only on the
+# grid, so what is summed block by block adds up in one fixed order.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -124,104 +117,31 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
-class BlockPool:
-    """Helper threads that, with the calling thread, work through row blocks.
-
-    Each thread takes the next block not yet taken until none is left, so a
-    thread the host stalls holds up one block and the others go on; there is
-    no hand-off per block, only one start and one join per map.
-    """
-
-    def __init__(self, helpers: int):
-        self.helpers = helpers
-        self._executor = ThreadPoolExecutor(helpers)
-
-    def map(self, fn, blocks: list[slice]) -> list:
-        """[fn(b) for b in blocks], in block order."""
-        results = [None] * len(blocks)
-        lock = threading.Lock()
-        untaken = iter(range(len(blocks)))
-
-        def drain():
-            while True:
-                with lock:
-                    i = next(untaken, None)
-                if i is None:
-                    return
-                results[i] = fn(blocks[i])
-
-        # no more helpers than blocks the caller leaves them
-        helpers = [self._executor.submit(drain)
-                   for _ in range(min(self.helpers, len(blocks) - 1))]
-        try:
-            drain()
-        finally:
-            for helper in helpers:
-                helper.result()  # waits, and raises what the helper raised
-        return results
-
-    def close(self):
-        self._executor.shutdown()
-
-
-@contextmanager
-def block_pool(threads: int, n: int):
-    """A BlockPool that, with the caller, runs min(threads, row blocks of an n x n
-    grid) threads, or None when that is 1."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    helpers = min(threads, len(row_blocks(n))) - 1
-    if helpers == 0:
-        yield None
-        return
-    pool = BlockPool(helpers)
-    try:
-        yield pool
-    finally:
-        pool.close()
-
-
-def map_blocks(fn, blocks: list[slice], pool: BlockPool | None = None) -> list:
-    """[fn(b) for b in blocks], on pool's threads and the caller's when a pool is given."""
-    return [fn(b) for b in blocks] if pool is None else pool.map(fn, blocks)
-
-
 class Subgrid:
-    """An index set J of an n x n grid and what the restricted transforms derive
-    from it: the row blocks and the flat positions of columns J in a row block.
-    Made once and passed as indices, it saves rederiving them on every call."""
+    """An index set J of an n x n grid and the flat positions of columns J in a
+    row block's worth of rows, which the row transforms scatter through.  Made
+    once and passed as indices, it saves rederiving them on every call."""
 
     def __init__(self, n: int, indices):
         self.n = n
         self.j = np.asarray(indices, dtype=int)
         if self.j.ndim != 1 or (self.j.size and not 0 <= self.j.min() <= self.j.max() < n):
             raise ValueError(f"indices must be a 1-d array of values in [0, {n})")
-        self.blocks = row_blocks(n)
-        self.flat = n * np.arange(self.blocks[0].stop)[:, None] + self.j
+        self.flat = n * np.arange(row_blocks(n)[0].stop)[:, None] + self.j
 
     @classmethod
     def of(cls, n: int | None, indices) -> Subgrid:
         """indices itself if it is a Subgrid, else the Subgrid of it in an n x n grid."""
         return indices if isinstance(indices, cls) else cls(n, indices)
 
-    def gather(self, rows: np.ndarray, r: slice, cols: np.ndarray) -> None:
-        """Columns J of rows, the rows r of an n x n grid, into cols[r]."""
-        # the constructor checked J, so clip never clips
-        np.take(rows.reshape(-1), self.flat[:len(rows)], out=cols[r], mode="clip")
 
-
-def sampled_ifft2(x, indices=None, pool: BlockPool | None = None) -> np.ndarray:
+def sampled_ifft2(x, indices=None) -> np.ndarray:
     """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None.
-
-    indices is J, or a Subgrid of it.  The row transforms run in row blocks,
-    on pool's threads if given.
-    """
+    indices is J, or a Subgrid of it."""
     if indices is None:
         return np.fft.ifft2(x)
     sub = Subgrid.of(len(x), indices)
-    cols = np.empty((sub.n, len(sub.j)), dtype=complex)
-    map_blocks(lambda r: sub.gather(np.fft.ifft(x[r], axis=1), r, cols), sub.blocks, pool)
-    return column_ifft(cols, sub)
+    return column_ifft(np.fft.ifft(x, axis=1)[:, sub.j], sub)
 
 
 def column_ifft(cols: np.ndarray, indices=None) -> np.ndarray:
@@ -310,22 +230,18 @@ def _row_iffts(idx: np.ndarray, row: np.ndarray, values: np.ndarray, sub: Subgri
     return sum(map(len, groups))
 
 
-def embedded_fft2(c, indices=None, n: int | None = None, pool: BlockPool | None = None):
-    """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms;
-    plain fft2 if indices is None.
-
-    indices is J, or a Subgrid of it (which gives n).  The rows are made row
-    block by row block, on pool's threads if given, in a new n x n array.
-    """
+def embedded_fft2(c, indices=None, n: int | None = None):
+    """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms,
+    in a new array; plain fft2 if indices is None.  indices is J, or a Subgrid of it
+    (which gives n)."""
     if indices is None:
         return np.fft.fft2(c)
     if n is None and not isinstance(indices, Subgrid):
         raise ValueError("embedded_fft2 needs the grid size n when indices are given")
     sub = Subgrid.of(n, indices)
-    cols = column_fft(c, sub)
-    out = np.empty((sub.n, sub.n), dtype=complex)
-    map_blocks(lambda r: fft_rows(cols[r], sub, out[r]), sub.blocks, pool)
-    return out
+    out = np.zeros((sub.n, sub.n), dtype=complex)
+    out[:, sub.j] = column_fft(c, sub)
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

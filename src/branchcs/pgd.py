@@ -19,8 +19,8 @@ bound exceeds lam (1 - margin), and takes the candidate, the backtracking sums
 and the relative change only on the entries where Y is not 0 or |G| exceeds
 that cut.  Each backtracking step makes the row IFFTs of those entries' rows
 and the M column IFFTs: an iteration makes two restricted transform sets (the
-gradient's and a candidate's) where the dense loop made three.  The iterates are the dense
-loop's within rounding, and no result depends on the thread count.
+gradient's and a candidate's) where the dense loop made three.  The iterates
+are the dense loop's within rounding.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class PgdConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        if not self.lam >= 0:  # False for NaN
+            raise ValueError("lam must be >= 0")
         if not self.l0 > 0:
             raise ValueError("l0 must be > 0")
         if not self.c > 1:
@@ -95,16 +97,12 @@ class _Iterate(NamedTuple):
     r: np.ndarray
 
 
-def pgd_recover(ms: MeasurementSet, cfg: PgdConfig, threads: int = 1) -> SolveReport:
+def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     """FISTA with backtracking: S+ = prox_{lam/L}(Y - grad(Y)/L).
 
-    threads must be >= 1; an iteration runs on the calling thread, since what
-    it makes of the grid is a few row blocks at most.  Each vector of an
-    iteration is freed once it is no longer used: in the first iterations
-    almost every entry is held, so they are grid-sized.
+    Each vector of an iteration is freed once it is no longer used: in the
+    first iterations almost every entry is held, so they are grid-sized.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n, lam = ms.n, cfg.lam
     sub = Subgrid(n, ms.indices)
     h = len(sub.flat)  # rows in a row block

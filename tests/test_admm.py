@@ -1,8 +1,6 @@
 """ADMM solver: worked example, prox, dense-oracle equivalence, convergence."""
 
 import dataclasses
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -152,14 +150,12 @@ class TestUpdateMechanics:
 
         monkeypatch.setattr(admm, "_fft2", counting_fft2)
         monkeypatch.setattr(admm, "_ifft2", counting_ifft2)
-        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)  # three row blocks, so 2 threads run
+        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)  # three row blocks
         ms, _ = toy_measurements(8, 6, 0)
-        for threads in (1, 2):
-            calls.update(fft2=0, ifft2=0)
-            report = recover(ms, AdmmConfig(beta=0.1, lam=0.5, max_iter=17), threads)
-            # U is written from the last two F grids, with no transform
-            assert calls["fft2"] == report.iterations
-            assert calls["ifft2"] == report.iterations
+        report = recover(ms, AdmmConfig(beta=0.1, lam=0.5, max_iter=17))
+        # U is written from the last two F grids, with no transform
+        assert calls["fft2"] == report.iterations
+        assert calls["ifft2"] == report.iterations
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +164,12 @@ class TestUpdateMechanics:
             AdmmConfig(beta=0.1, lam=-1.0)
         with pytest.raises(ValueError):
             AdmmConfig(beta=0.1, lam=1.0, max_iter=0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(lam=nan), dict(beta=inf), dict(beta=nan), dict(eps_abs=-1.0),
+                    dict(eps_abs=nan), dict(eps_rel=-1.0), dict(eps_rel=nan)):
+            with pytest.raises(ValueError):
+                AdmmConfig(**{"beta": 0.1, "lam": 1.0, **bad})
+        AdmmConfig(beta=0.1, lam=inf)  # u_update's: no Z is kept
 
     def test_residual_check_inclusive(self):
         rec = ResidualRecord(k=1, r_norm=1.0, s_norm=2.0, eps_pri=1.0, eps_dual=2.0)
@@ -237,19 +239,8 @@ class TestRecovery:
 
 
 class TestThreads:
-    """Row blocks fix the arithmetic, so the thread count cannot change a result."""
-
-    def test_recover_is_bit_identical_for_any_thread_count(self, small_blocks):
-        ms, truth = toy_measurements(32, 20, 5)
-        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=60)
-        reports = [recover(ms, cfg, threads) for threads in (1, 2, 3)]
-        to_error = [recover_to_error(ms, cfg, truth, target=0.1, threads=threads)
-                    for threads in (1, 2, 3)]
-        for runs in (reports, to_error):
-            for other in runs[1:]:
-                assert np.array_equal(other.s_hat, runs[0].s_hat)
-                assert other.history == runs[0].history
-                assert other.converged == runs[0].converged
+    """Row blocks fix the arithmetic: the rows a sweep makes together, and the
+    order of its sums, cannot change an iterate."""
 
     def test_blocking_leaves_the_iterates_unchanged(self, monkeypatch):
         # only the order of the sums of squares depends on the blocks
@@ -257,7 +248,7 @@ class TestThreads:
         cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=30, eps_abs=0.0, eps_rel=0.0)
         whole = recover(ms, cfg)
         monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 96)
-        blocked = recover(ms, cfg, threads=2)
+        blocked = recover(ms, cfg)
         assert np.array_equal(blocked.s_hat, whole.s_hat)
         for a, b in zip(blocked.history, whole.history):
             assert a.r_norm == pytest.approx(b.r_norm, rel=1e-12)
@@ -271,8 +262,7 @@ class TestThreads:
         state, _ = iterate(AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy()),
                            emb, mhat, cfg)
         before = [a.copy() for a in (state.u, state.z, state.y)]
-        with grid.block_pool(2, 32) as pool:
-            iterate(state, emb, mhat, cfg, pool)
+        iterate(state, emb, mhat, cfg)
         assert all(np.array_equal(a, b) for a, b in zip((state.u, state.z, state.y), before))
 
     def test_kept_constants_follow_the_inputs(self):
@@ -288,71 +278,8 @@ class TestThreads:
         fresh, _ = iterate(AdmmState(u=state.u, z=state.z, y=state.y, k=state.k), emb_b, mhat_b, cfg)
         assert np.array_equal(kept.u, fresh.u) and np.array_equal(kept.y, fresh.y)
 
-    def test_pool_is_capped_at_the_block_count(self, monkeypatch):
-        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)  # an 8 x 8 grid in 3 blocks
-        seen = set()
 
-        def record(block):
-            seen.add(threading.get_ident())
-            threading.Event().wait(0.01)  # hold the thread so the next block needs another
-            return block
-
-        with grid.block_pool(10**6, 8) as pool:
-            assert pool.helpers == 2  # with the calling thread, one thread per block
-            assert grid.map_blocks(record, grid.row_blocks(8), pool) == grid.row_blocks(8)
-        assert 1 <= len(seen) <= 3
-        with grid.block_pool(4, 2) as pool:  # one block: no pool at all
-            assert pool is None
-        with pytest.raises(ValueError):
-            with grid.block_pool(0, 8):
-                pass
-
-    def test_pool_starts_no_more_helpers_than_blocks_less_one(self, monkeypatch):
-        pool = grid.BlockPool(3)
-        try:
-            submitted = []
-            submit = pool._executor.submit
-            monkeypatch.setattr(pool._executor, "submit",
-                                lambda fn: submitted.append(fn) or submit(fn))
-            for blocks, helpers in (([], 0), ([slice(0, 1)], 0), ([slice(0, 1)] * 2, 1),
-                                    ([slice(0, 1)] * 9, 3)):
-                submitted.clear()
-                assert pool.map(lambda b: b, blocks) == blocks
-                assert len(submitted) == helpers
-        finally:
-            pool.close()
-
-    def test_pool_takes_each_block_once_under_contention(self):
-        # more threads than cores and a tiny switch interval, so a lost update shows
-        blocks = [slice(i, i + 1) for i in range(300)]
-        calls = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            pool = grid.BlockPool(7)
-            try:
-                done = pool.map(lambda b: calls.append(b) or b, blocks)
-            finally:
-                pool.close()
-        finally:
-            sys.setswitchinterval(interval)
-        assert done == blocks
-        assert sorted(calls, key=lambda b: b.start) == blocks
-
-    def test_pool_raises_what_a_block_raised(self, monkeypatch):
-        monkeypatch.setattr(grid, "BLOCK_ELEMENTS", 8 * 3)
-
-        def fail_on_last(block):
-            if block.stop == 8:
-                raise ZeroDivisionError
-            return block
-
-        with grid.block_pool(3, 8) as pool:
-            with pytest.raises(ZeroDivisionError):
-                grid.map_blocks(fail_on_last, grid.row_blocks(8), pool)
-
-
-def iterate_loop(ms, cfg, threads=1, s_true=None, target=None):
+def iterate_loop(ms, cfg, s_true=None, target=None):
     """What recover and recover_to_error do, by public iterate calls on dense
     states, with the error taken from the dense U: (s_hat, history, converged)."""
     n = ms.n
@@ -360,17 +287,16 @@ def iterate_loop(ms, cfg, threads=1, s_true=None, target=None):
     zeros = np.zeros((n, n), dtype=complex)
     state = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
     history, converged = [], False
-    with grid.block_pool(threads, n) as pool:
-        for _ in range(cfg.max_iter):
-            state, rec = iterate(state, emb, mhat, cfg, pool)
-            history.append(rec)
-            converged = converged or (residual_check(rec)
-                                      and rec.r_norm <= cfg.min_drop * history[0].r_norm
-                                      and rec.s_norm <= cfg.min_drop * history[0].s_norm)
-            done = (rel_l2_error(np.real(state.u) / n**2, s_true) <= target
-                    if s_true is not None else converged)
-            if done:
-                break
+    for _ in range(cfg.max_iter):
+        state, rec = iterate(state, emb, mhat, cfg)
+        history.append(rec)
+        converged = converged or (residual_check(rec)
+                                  and rec.r_norm <= cfg.min_drop * history[0].r_norm
+                                  and rec.s_norm <= cfg.min_drop * history[0].s_norm)
+        done = (rel_l2_error(np.real(state.u) / n**2, s_true) <= target
+                if s_true is not None else converged)
+        if done:
+            break
     return np.real(state.u) / n**2, history, converged
 
 
@@ -387,23 +313,20 @@ class TestSparseSweep:
     """recover keeps Z as its support and no U; it must still make the iterates
     that dense single steps make, at any density of Z."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_lambda_zero_keeps_all_of_z(self, small_blocks, threads):
+    def test_lambda_zero_keeps_all_of_z(self, small_blocks):
         ms, _ = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=0.0, max_iter=40)
-        loop = iterate_loop(ms, cfg, threads)
-        assert_same_run(recover(ms, cfg, threads), loop)
+        loop = iterate_loop(ms, cfg)
+        assert_same_run(recover(ms, cfg), loop)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_empty_support(self, small_blocks, threads):
+    def test_empty_support(self, small_blocks):
         ms, _ = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=1e6, max_iter=25)
-        s_hat, history, converged = loop = iterate_loop(ms, cfg, threads)
+        s_hat, history, converged = loop = iterate_loop(ms, cfg)
         assert all(rec.s_norm == 0.0 for rec in history)  # Z never leaves zero
-        assert_same_run(recover(ms, cfg, threads), loop)
+        assert_same_run(recover(ms, cfg), loop)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_dense_first_sweep_at_hsc_256(self, hsc_model, small_blocks, threads):
+    def test_dense_first_sweep_at_hsc_256(self, hsc_model, small_blocks):
         n = 256
         m = default_m(n, DEFAULT_SPARSITY_K)
         full = full_measurements(hsc_model, n)
@@ -414,15 +337,14 @@ class TestSparseSweep:
         first, _ = iterate(AdmmState(u=zeros, z=zeros, y=zeros), embed_measurements(ms),
                            build_mhat(n, idx, cfg.beta), cfg)
         assert np.count_nonzero(first.z) > n * n // 2
-        assert_same_run(recover(ms, cfg, threads), iterate_loop(ms, cfg, threads))
+        assert_same_run(recover(ms, cfg), iterate_loop(ms, cfg))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_recover_to_error_stops_where_the_dense_error_does(self, small_blocks, threads):
+    def test_recover_to_error_stops_where_the_dense_error_does(self, small_blocks):
         ms, truth = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=400)
-        report = recover_to_error(ms, cfg, truth, target=0.05, threads=threads)
+        report = recover_to_error(ms, cfg, truth, target=0.05)
         assert 1 < report.iterations < cfg.max_iter
-        assert_same_run(report, iterate_loop(ms, cfg, threads, truth, 0.05))
+        assert_same_run(report, iterate_loop(ms, cfg, truth, 0.05))
 
     def test_residuals_match_the_dense_formulas(self, small_blocks):
         # the sums over Z's support and over the union of two supports
@@ -517,24 +439,21 @@ class TestScreen:
         return out
 
     @staticmethod
-    def runs(ms, cfg, truth, threads):
+    def runs(ms, cfg, truth):
         """recover, recover_to_error and a chain of iterate calls, as comparable tuples."""
         target = 0.5 * rel_l2_error(recover(ms, dataclasses.replace(cfg, max_iter=5)).s_hat, truth)
         out = []
-        for report in (recover(ms, cfg, threads),
-                       recover_to_error(ms, cfg, truth, target=target, threads=threads)):
+        for report in (recover(ms, cfg), recover_to_error(ms, cfg, truth, target=target)):
             out.append((report.s_hat, report.iterations, report.converged, report.history))
-        s_hat, history, converged = iterate_loop(ms, cfg, threads)
+        s_hat, history, converged = iterate_loop(ms, cfg)
         return out + [(s_hat, len(history), converged, history)]
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_screened_sweeps_equal_sweeps_of_every_row(self, cases, small_blocks, monkeypatch,
-                                                       threads):
+    def test_screened_sweeps_equal_sweeps_of_every_row(self, cases, small_blocks, monkeypatch):
         for name, ms, cfg, truth in cases:
-            screened = self.runs(ms, cfg, truth, threads)
+            screened = self.runs(ms, cfg, truth)
             with monkeypatch.context() as every_row:
                 every_row.setattr(admm, "_screen", lambda cols, tau: np.ones(len(cols), bool))
-                unscreened = self.runs(ms, cfg, truth, threads)
+                unscreened = self.runs(ms, cfg, truth)
             for a, b in zip(screened, unscreened):
                 assert np.array_equal(a[0], b[0]), name
                 assert a[1:] == b[1:], name

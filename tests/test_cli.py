@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -68,24 +69,19 @@ class TestSolve:
 class TestRecover:
     def test_cs_hsc_512_is_pinned(self, tmp_path, hsc_config, hsc_model):
         """The benchmark's cs-hsc-512: N=512, default M=88, seeds 0-4.  Its sweep
-        counts, convergence and errors, and its output at 1 and 2 threads."""
+        counts, convergence and errors."""
         truth = tmp_path / "S_true.bpm"
         write_matrix(truth, invert_full(full_measurements(hsc_model, 512)))
         want = {0: (206, 0.005229), 1: (201, 0.002919), 2: (207, 0.006020),
                 3: (182, 0.007045), 4: (197, 0.003540)}
         for seed, (sweeps, err) in want.items():
-            outputs = []
-            for threads in (1, 2):
-                out = tmp_path / f"s{seed}t{threads}"
-                assert main(["recover", "--config", hsc_config, "--out-dir", str(out),
-                             "--n", "512", "--seed", str(seed), "--threads", str(threads),
-                             "--truth", str(truth)]) == 0
-                manifest = json.loads((out / "manifest.json").read_text())
-                assert manifest["m"] == 88
-                assert (manifest["iterations"], manifest["converged"]) == (sweeps, True)
-                assert float(f"{manifest['metrics']['eps_rel_l2']:.4g}") == err
-                outputs.append((out / "S_hat.bpm").read_bytes())
-            assert outputs[0] == outputs[1]
+            out = tmp_path / f"s{seed}"
+            assert main(["recover", "--config", hsc_config, "--out-dir", str(out),
+                         "--n", "512", "--seed", str(seed), "--truth", str(truth)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["m"] == 88
+            assert (manifest["iterations"], manifest["converged"]) == (sweeps, True)
+            assert float(f"{manifest['metrics']['eps_rel_l2']:.4g}") == err
 
     def test_deterministic_output(self, tmp_path, hsc_config):
         outs = []
@@ -143,6 +139,28 @@ class TestRecover:
                          "--n", "32", "--m", "20", "--seed", "5", "--threads", threads]) == 0
             outs.append((out / "S_hat.bpm").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_no_thread_is_started(self, tmp_path, hsc_config, small_blocks, monkeypatch):
+        # --threads is accepted and ignored: every solver runs on the calling thread
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        def run(threads, *argv):
+            out = tmp_path / f"{argv[0]}{'-'.join(argv[1:])}t{threads}"
+            assert main([*argv, "--config", hsc_config, "--out-dir", str(out),
+                         "--threads", threads]) == 0
+            return out
+
+        recovers = [("recover", "--n", "32", "--m", "20", "--seed", "5"),
+                    ("recover", "--n", "32", "--m", "20", "--seed", "5", "--solver", "pgd")]
+        bench = ("bench", "--n-list", "16", "--trials", "2", "--max-iter", "20")
+        want = [(run("1", *argv) / "S_hat.bpm").read_bytes() for argv in recovers]
+        want_errors = np.loadtxt(run("1", *bench) / "bench.csv", delimiter=",", skiprows=1,
+                                 usecols=4)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert [(run("2", *argv) / "S_hat.bpm").read_bytes() for argv in recovers] == want
+        errors = np.loadtxt(run("2", *bench) / "bench.csv", delimiter=",", skiprows=1, usecols=4)
+        assert np.array_equal(errors, want_errors)
 
     def test_pgd_solver(self, tmp_path, hsc_config):
         out = tmp_path / "out"
@@ -248,9 +266,22 @@ class TestExitCodes:
         ["bench", "--n-list", "16", "--max-iter", "0"],
         ["bench", "--n-list", "128,100"],
         ["recover", "--n", "16", "--threads", "0"],
+        ["recover", "--n", "16", "--solver", "pgd", "--lam", "-1"],
+        ["recover", "--n", "16", "--solver", "pgd", "--lam", "nan"],
+        ["recover", "--n", "16", "--lam", "nan"],
+        ["recover", "--n", "16", "--beta", "inf"],
+        ["recover", "--n", "16", "--beta", "nan"],
+        ["recover", "--n", "16", "--eps-abs", "-1"],
+        ["recover", "--n", "16", "--eps-rel", "nan"],
+        ["sweep", "--n", "16", "--param", "lambda", "--grid", "nan"],
+        ["recover", "--n", "16", "--solver", "pgd", "--beta", "-1"],
+        ["recover", "--n", "16", "--solver", "pgd", "--eps-abs", "5"],
+        ["recover", "--n", "16", "--solver", "pgd", "--eps-rel", "0.1"],
     ], ids=["grid-two-fields", "grid-five-fields", "grid-scale", "grid-negative-beta",
             "pgd-max-iter-0", "negative-beta", "trials-0", "bench-max-iter-0",
-            "bench-n-not-power-of-two", "threads-0"])
+            "bench-n-not-power-of-two", "threads-0", "pgd-negative-lambda", "pgd-nan-lambda",
+            "nan-lambda", "inf-beta", "nan-beta", "negative-eps-abs", "nan-eps-rel",
+            "grid-nan-lambda", "pgd-beta", "pgd-eps-abs", "pgd-eps-rel"])
     def test_bad_argument_value_is_usage_error(self, hsc_config, tmp_path, monkeypatch,
                                                capsys, argv):
         def no_work(*args, **kwargs):

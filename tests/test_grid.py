@@ -7,7 +7,6 @@ from branchcs.errors import MTooLarge, NonSquareGrid
 from branchcs.grid import (
     MeasurementSet,
     Subgrid,
-    block_pool,
     column_fft,
     column_ifft,
     default_m,
@@ -16,7 +15,6 @@ from branchcs.grid import (
     fft_rows,
     full_measurements,
     invert_full,
-    map_blocks,
     rel_l2_error,
     sample_indices,
     sampled_ifft2,
@@ -188,16 +186,14 @@ class TestRestrictedTransforms:
         want_fft[:, j] = np.fft.fft(cols, axis=0)
         want_fft = np.fft.fft(want_fft, axis=1)
         sub = Subgrid(n, j)
-        with block_pool(3, n) as pool:
-            for p in (None, pool):
-                assert np.array_equal(sampled_ifft2(x, j, p), want_ifft)
-                # the row half block by block, as the ADMM sweep does it, then the column half
-                cols = np.empty((n, len(j)), dtype=complex)
-                map_blocks(lambda r: sub.gather(np.fft.ifft(x[r], axis=1), r, cols), sub.blocks, p)
-                assert np.array_equal(column_ifft(cols, sub), want_ifft)
-                assert np.array_equal(column_ifft(cols), np.fft.ifft(cols, axis=0))
-                assert np.array_equal(embedded_fft2(c, j, n, p), want_fft)
-                assert np.array_equal(embedded_fft2(c, sub, None, p), want_fft)
+        assert np.array_equal(sampled_ifft2(x, j), want_ifft)
+        assert np.array_equal(sampled_ifft2(x, sub), want_ifft)
+        # the row half, then the column half alone
+        cols = np.fft.ifft(x, axis=1)[:, j]
+        assert np.array_equal(column_ifft(cols, sub), want_ifft)
+        assert np.array_equal(column_ifft(cols), np.fft.ifft(cols, axis=0))
+        assert np.array_equal(embedded_fft2(c, j, n), want_fft)
+        assert np.array_equal(embedded_fft2(c, sub), want_fft)
         # any rows of FFT2, made alone or packed together from the column transforms,
         # have the bits of the whole grid's rows, as the ADMM sweep's screen needs
         embedded = np.zeros((n, len(j)), dtype=complex)

@@ -106,15 +106,10 @@ class TestPgdRecovery:
             PgdConfig(lam=1.0, c=1.0)
         with pytest.raises(ValueError):
             PgdConfig(lam=1.0, max_iter=0)
-
-
-def test_thread_count_leaves_fista_unchanged(small_blocks):
-    ms, _ = toy_measurements(32, 20, 3)
-    cfg = PgdConfig(lam=1.0, max_iter=40)
-    runs = [pgd_recover(ms, cfg, threads) for threads in (1, 2, 3)]
-    for other in runs[1:]:
-        assert np.array_equal(other.s_hat, runs[0].s_hat)
-        assert other.history == runs[0].history
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                PgdConfig(lam=lam)
+        PgdConfig(lam=float("inf"))
 
 
 def test_row_ffts_counts_the_rows_made(small_blocks, monkeypatch):
