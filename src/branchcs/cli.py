@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import statistics
 import sys
@@ -216,7 +217,9 @@ def cmd_oracle(args, model, out_dir: Path) -> tuple[dict, str]:
     return fields, f"wrote {s_path} (truncation mass {result.truncation_mass:.3g})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = _Parser(prog="branchcs", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MTooLarge, NonSquareGrid
-from .models import DEFAULT_ODE, ModelSpec, OdeConfig, pgf_many
+from .models import DEFAULT_ODE, ModelSpec, OdeConfig, pgf_block
 
 __all__ = [
     "MeasurementSet",
@@ -64,34 +64,24 @@ def check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 2, got {n}")
 
 
-def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols.
-
-    Columns share s2, so each column is one batched ODE solve.  Written into
-    out (len(rows) x len(cols)) when given, else into a new array.
-    """
+def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig) -> np.ndarray:
+    """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols."""
     check_grid_size(n)
-    s1 = np.exp(2j * np.pi * np.asarray(rows) / n)
-    b = np.empty((len(s1), len(cols)), dtype=complex) if out is None else out
-    for col, v in enumerate(cols):
-        b[:, col] = pgf_many(model, s1, np.exp(2j * np.pi * v / n), ode_cfg)
-    return b
+    return pgf_block(model, np.exp(2j * np.pi * np.asarray(rows) / n),
+                     np.exp(2j * np.pi * np.asarray(cols) / n), ode_cfg)
 
 
 def full_measurements(model: ModelSpec, n: int,
                       ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
     """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
 
-    Columns 0..N/2 are computed; columns above N/2 come from conjugate
-    symmetry (the coefficients are real).
+    Columns 0..N/2 are computed; column v above N/2 is conj of column N - v
+    with its rows reflected (the coefficients are real).
     """
     half = n // 2 + 1
     b = np.empty((n, n), dtype=complex)
-    _pgf_block(model, n, np.arange(n), range(half), ode_cfg, out=b[:, :half])
-    refl = (n - np.arange(n)) % n
-    for v in range(half, n):
-        b[:, v] = np.conj(b[refl, n - v])
+    b[:, :half] = _pgf_block(model, n, np.arange(n), np.arange(half), ode_cfg)
+    np.conj(b[(n - np.arange(n)[:, None]) % n, n - np.arange(half, n)], out=b[:, half:])
     return b
 
 

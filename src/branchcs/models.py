@@ -1,7 +1,8 @@
 """Probability generating functions for the two-type HSC and BDS branching models.
 
 The type-2 PGF has a closed form for both models; the type-1 PGF is the
-solution of a backward Kolmogorov ODE driven by the type-2 solution.  All
+solution of a backward Kolmogorov ODE driven by the type-2 solution, which for
+HSC is one linear 2 x 2 flow for a whole grid of arguments.  All
 functions accept arbitrary complex arguments with |s| <= 1; the Fourier grid
 supplies points on the unit circle.
 """
@@ -26,6 +27,7 @@ __all__ = [
     "bds_phi01",
     "pgf",
     "pgf_many",
+    "pgf_block",
     "model_from_config",
 ]
 
@@ -113,51 +115,69 @@ def bds_phi01(t: float, s2: complex, rates: RatesBDS) -> complex:
     return 1.0 + (s2 - 1.0) / (math.exp(x) - g * (s2 - 1.0) * t * ratio)
 
 
-def pgf_many(model: ModelSpec, s1, s2: complex,
-             ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
-    """PGF of the model at many s1 values sharing one s2.
+def _integrate(rhs, t: float, y0: np.ndarray, ode_cfg: OdeConfig) -> np.ndarray:
+    """y(t) of y' = rhs(tau, y), y(0) = y0, by adaptive RK45."""
+    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=ode_cfg.rtol,
+                    atol=ode_cfg.atol, max_step=ode_cfg.max_step)
+    if not sol.success:
+        raise IntegrationFailure(sol.message)
+    return sol.y[:, -1]
+
+
+def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
+    """PGF of the model at every (s1[i], s2[v]), as a len(s1) x len(s2) array.
 
     The type-2 PGF phi2 has a closed form.  The type-1 PGF phi1 solves a
     backward equation driven by it, from phi1(0) = s1:
       hsc: dphi/dtau = rho phi^2 - (rho + nu) phi + nu phi2(tau)
       bds: dphi/dtau = gamma phi phi2(tau) + sigma phi2(tau) + delta
                        - (gamma + sigma + delta) phi
-    These ODEs differ only in their initial condition for a fixed s2, so all
-    s1 values integrate as one vector-valued system.  Per particle
-    independence phi_{jk} = phi1^j phi2^k.
+    For fixed s2 the HSC equation is a Riccati equation, so phi1 is the linear
+    fractional map (a s1 + b) / (c s1 + d) of W = [[a, b], [c, d]] solving
+    W' = [[-h, nu phi2(tau)], [-rho, h]] W, W(0) = I, h = (rho + nu)/2 (Reid
+    1972): one solve for every s2.  Without the shift by h, which leaves the
+    ratio as it is, W would decay into atol at long t.  BDS takes one solve per
+    s2, of every s1 as one vector-valued system.  Per particle independence
+    phi_{jk} = phi1^j phi2^k.
     """
     s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
-    j, k = model.init
-    t, rates = model.t, model.rates
+    s2 = np.atleast_1d(np.asarray(s2, dtype=complex))
+    (j, k), t, rates, m = model.init, model.t, model.rates, len(s2)
+    p1 = np.ones((len(s1), m), dtype=complex)
     if model.kind == "hsc":
         p2 = hsc_phi2(t, s2, rates)
-        rho, nu, mu = rates.rho, rates.nu, rates.mu
+        if j:
+            rho, nu, mu, h = rates.rho, rates.nu, rates.mu, 0.5 * (rates.rho + rates.nu)
 
-        def rhs(tau, phi):
-            forcing = nu * (1.0 + (s2 - 1.0) * np.exp(-mu * tau))
-            return rho * phi * phi - (rho + nu) * phi + forcing
+            def flow(tau, w):  # W' row by row: [a', b'] = f [c, d] - h [a, b], ...
+                top, bottom = w.reshape(2, 2, m)
+                f = nu * (1.0 + (s2 - 1.0) * math.exp(-mu * tau))  # nu phi2(tau)
+                return np.concatenate((f * bottom - h * top, h * bottom - rho * top), axis=None)
+
+            w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)  # W(0) = I for every s2
+            a, b, c, d = _integrate(flow, t, w0, ode_cfg).reshape(4, m)
+            p1 = (np.multiply.outer(s1, a) + b) / (np.multiply.outer(s1, c) + d)
     else:
         p2 = bds_phi01(t, s2, rates)
         g, sg, d = rates.gamma, rates.sigma, rates.delta
-        total = g + sg + d
+        for col in range(m if j else 0):
+            def rhs(tau, phi, v=s2[col]):
+                p01 = bds_phi01(tau, v, rates)
+                return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
 
-        def rhs(tau, phi):
-            p01 = bds_phi01(tau, s2, rates)
-            return g * phi * p01 + sg * p01 + d - total * phi
-    p1 = np.ones_like(s1)
-    if j:
-        sol = solve_ivp(rhs, (0.0, t), s1, method="RK45", rtol=ode_cfg.rtol,
-                        atol=ode_cfg.atol, max_step=ode_cfg.max_step)
-        if not sol.success:
-            raise IntegrationFailure(sol.message)
-        p1 = sol.y[:, -1]
+            p1[:, col] = _integrate(rhs, t, s1, ode_cfg)
     return p1 ** j * p2 ** k
+
+
+def pgf_many(model: ModelSpec, s1, s2: complex, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
+    """PGF of the model at many s1 values sharing one s2: a column of pgf_block."""
+    return pgf_block(model, s1, s2, ode_cfg)[:, 0]
 
 
 def pgf(model: ModelSpec, s1: complex, s2: complex,
         ode_cfg: OdeConfig = DEFAULT_ODE) -> complex:
     """phi_{jk}(t, s1, s2) for the model's initial state."""
-    return complex(pgf_many(model, s1, s2, ode_cfg)[0])
+    return complex(pgf_block(model, s1, s2, ode_cfg)[0, 0])
 
 
 def model_from_config(cfg: dict) -> ModelSpec:

@@ -163,7 +163,8 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
             rows_buf = np.empty((h, n), dtype=complex)  # the chunk diff left, not a new one
             row_ffts += _row_iffts(idx_on, idx_on // n, cand, sub, rows_buf, g_cols)
             r = _ifft2(g_cols.T, sub) - ms.b
-            if 0.5 * n**2 * _sum_squares(r) <= quad + 1e-12 * max(1.0, abs(quad)):
+            # a slack on the scale of quad's terms: at an exact L they cancel to rounding
+            if 0.5 * n**2 * _sum_squares(r) <= quad + 1e-12 * max(1.0, f_y):
                 break
             l_cur *= cfg.c
         del y, g_on

@@ -1,6 +1,8 @@
-"""Dense reference implementations used to cross-check the matrix-free solver."""
+"""Dense reference implementations used to cross-check the matrix-free solver,
+and the per-point Riccati solve that checks the HSC PGF flow."""
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from branchcs.admm import AdmmState, soft_threshold
 from branchcs.grid import MeasurementSet, embedded_fft2, sampled_ifft2
@@ -64,7 +66,7 @@ def dense_pgd(ms: MeasurementSet, cfg):
             cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
             diff = cand - y
             quad = f_y + np.real(np.vdot(g, diff)) + 0.5 * l_cur * np.sum(np.abs(diff) ** 2)
-            if smooth(cand) <= quad + 1e-12 * max(1.0, abs(quad)):
+            if smooth(cand) <= quad + 1e-12 * max(1.0, f_y):
                 break
             l_cur *= cfg.c
         rel = np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0)
@@ -74,3 +76,20 @@ def dense_pgd(ms: MeasurementSet, cfg):
         if rel < cfg.tol:
             return iterates, history, True
     return iterates, history, False
+
+
+def riccati_pgf(model, s1: complex, s2: complex, tol: float = 1e-13) -> complex:
+    """The HSC PGF phi1^j phi2^k at one point, phi1 from the type-1 Riccati
+    equation dphi/dtau = rho phi^2 - (rho + nu) phi + nu phi2(tau), phi(0) = s1,
+    solved alone by DOP853 at rtol = atol = tol: the per-column solve that the
+    Moebius flow of models.pgf_block replaced."""
+    rho, nu, mu = model.rates.rho, model.rates.nu, model.rates.mu
+    j, k = model.init
+
+    def rhs(tau, phi):
+        forcing = nu * (1.0 + (s2 - 1.0) * np.exp(-mu * tau))
+        return rho * phi * phi - (rho + nu) * phi + forcing
+
+    sol = solve_ivp(rhs, (0.0, model.t), [complex(s1)], method="DOP853", rtol=tol, atol=tol)
+    assert sol.success, sol.message
+    return sol.y[0, -1] ** j * (1.0 + (s2 - 1.0) * np.exp(-mu * model.t)) ** k

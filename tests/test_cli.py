@@ -213,6 +213,24 @@ class TestOracleCommand:
         assert manifest["truncation_mass"] < 1e-6
 
 
+def test_one_process_runs_commands_in_turn(tmp_path, hsc_config):
+    # the parser is built once per process; a usage error between two runs
+    # leaves the second solve as the first
+    def run(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    solve = ["solve", "--config", hsc_config, "--n", "16", "--out-dir"]
+    assert run(solve + [str(tmp_path / "a")]) == 0
+    assert run(["recover", "--config", hsc_config, "--out-dir", str(tmp_path / "r"),
+                "--n", "16", "--solver", "bogus"]) == 1
+    assert run(solve + [str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "S_full.bpm").read_bytes()
+            == (tmp_path / "b" / "S_full.bpm").read_bytes())
+
+
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "missing.json"),

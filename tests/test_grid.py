@@ -29,6 +29,16 @@ class TestFullGrid:
         sym = np.conj(hsc64_full[np.ix_(refl, refl)])
         assert np.max(np.abs(hsc64_full - sym)) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_mirror_is_the_column_loop(self, bds_model, n):
+        # the upper columns are one gather of the lower ones, with the loop's bits
+        b = full_measurements(bds_model, n)
+        loop = b.copy()
+        refl = (n - np.arange(n)) % n
+        for v in range(n // 2 + 1, n):
+            loop[:, v] = np.conj(loop[refl, n - v])
+        assert b.tobytes() == loop.tobytes()
+
     def test_corner_is_normalization_point(self, hsc64_full):
         # node (0, 0) evaluates the PGF at (1, 1)
         assert abs(hsc64_full[0, 0] - 1.0) < 1e-8

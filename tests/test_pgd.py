@@ -154,19 +154,22 @@ class TestSparseLoop:
     @pytest.fixture(scope="class")
     def cases(self, hsc_model, bds_model):
         """(name, measurements, config) at HSC N=64, BDS N=128, and HSC N=64 with
-        lambda = 0 and with a lambda above every row's bound (so no row is
-        made); the preset lambda otherwise, and sampling seed 0."""
+        lambda = 0 (from L = 1, the exact curvature, where FISTA stops at k = 2,
+        and from L = 2, where it takes about 28 iterations) and with a lambda
+        above every row's bound (so no row is made); the preset lambda
+        otherwise, L0 = 1 unless named, and sampling seed 0."""
         out = []
-        for name, model, n, lam in (("hsc-64", hsc_model, 64, None),
-                                    ("bds-128", bds_model, 128, None),
-                                    ("hsc-64-lambda-0", hsc_model, 64, 0.0),
-                                    ("hsc-64-lambda-1e6", hsc_model, 64, 1e6)):
+        for name, model, n, lam, l0 in (("hsc-64", hsc_model, 64, None, 1.0),
+                                        ("bds-128", bds_model, 128, None, 1.0),
+                                        ("hsc-64-lambda-0", hsc_model, 64, 0.0, 1.0),
+                                        ("hsc-64-lambda-0-l0-2", hsc_model, 64, 0.0, 2.0),
+                                        ("hsc-64-lambda-1e6", hsc_model, 64, 1e6, 1.0)):
             full = full_measurements(model, n)
             m = default_m(n, DEFAULT_SPARSITY_K)
             idx = sample_indices(n, m, 0)
             ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
             out.append((name, ms, PgdConfig(lam=pgd_lambda(model.kind, m) if lam is None else lam,
-                                            max_iter=500)))
+                                            l0=l0, max_iter=500)))
         return out
 
     def test_matches_the_dense_loop(self, cases, small_blocks):
@@ -188,6 +191,17 @@ class TestSparseLoop:
                          else pgd_recover(ms, dataclasses.replace(cfg, max_iter=k))).s_hat
                 want = np.real(iterates[k - 1]) / ms.n**2
                 assert np.max(np.abs(s_hat - want)) <= 1e-12 * np.max(np.abs(want)), (name, k)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_exact_step_is_not_backtracked(self, hsc_model, hsc64_full, seed):
+        # N^2 A^H A is a projection, so L = 1 is the exact curvature; at lambda = 0
+        # quad cancels to rounding, and a slack below that rounding doubled L at
+        # k = 1 on seeds 0-2, depending on the last bits of B
+        m = default_m(64, DEFAULT_SPARSITY_K)
+        idx = sample_indices(64, m, seed)
+        ms = MeasurementSet(n=64, indices=idx, b=hsc64_full[np.ix_(idx, idx)], seed=seed)
+        report = pgd_recover(ms, PgdConfig(lam=0.0, l0=1.0, max_iter=50))
+        assert [rec.l_used for rec in report.history] == [1.0] * report.iterations
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
