@@ -47,13 +47,12 @@ def test_flow_holds_at_long_times(t):
 
 def test_a_grid_takes_one_hsc_solve_and_one_bds_solve_per_column(hsc_model, bds_model,
                                                                 monkeypatch):
-    calls = []
+    calls, solve_ivp = [], models.solve_ivp
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_ivp(*args, **kwargs)
 
-    solve_ivp = models.solve_ivp
     monkeypatch.setattr(models, "solve_ivp", counting)
     full_measurements(hsc_model, 64)
     assert len(calls) == 1
