@@ -36,8 +36,8 @@ def test_block_matches_per_point_solves(model, s1, s2):
 
 @pytest.mark.parametrize("t", [10.0, 50.0, 200.0])
 def test_flow_holds_at_long_times(t):
-    # unshifted, the flow decays by e^{-(rho + nu) t / 2} into atol and the
-    # ratio loses digits: 1.2e-5 off at t = 200
+    # unshifted, the flow W decays into atol and the ratio loses digits:
+    # 1.3e-5 off at t = 200
     model = ModelSpec(kind="hsc", rates=HSC_RATES, t=t, init=(2, 3))
     s1 = np.array([1.0, -1.0, 1j, 0.0, 0.5 - 0.5j])
     s2 = np.exp(2j * np.pi * np.arange(4) / 4)
