@@ -19,9 +19,8 @@ so max_v |F_k[u, v]| is at most their L1 norm, and a row whose norm is at most
 lambda / beta holds no entry the prox keeps unless t is in it: a safe screen
 (El Ghaoui et al. 2012).  A sweep does the M column IFFTs of D_k's row IFFTs,
 forms C_k and does the M column FFTs; then, in two phases:
-  1. the rows of F_k that pass the screen or hold t (every row when the error
-     against a truth is tracked, which needs all of U_k) are made a row
-     block's worth at a time and thresholded at lambda / beta;
+  1. the rows of F_k that pass the screen or hold t are made a row block's
+     worth at a time and thresholded at lambda / beta;
   2. once, over all of p = t and the entries found, the prox, the sums of
      squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1} and the row
      IFFTs of the rows where D_{k+1} is nonzero.
@@ -45,11 +44,11 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
 from .grid import (MeasurementSet, Subgrid, _groups, _is_run, _places, _row_iffts, _screen,
-                   column_fft, column_ifft, fft_rows, sampled_ifft2)
+                   column_fft, column_ifft, fft_rows, rel_l2_error, sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
-           "residual_check", "objective"]
+           "residual_check"]
 
 # module-level references so tests can count calls: per sweep, the column half
 # of FFT2(C), whose rows are made as they are needed, and the column half of
@@ -220,15 +219,13 @@ class _SweepForm:
                    _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
                    _Support.of(sub.n, _NONE, *_EMPTY), g, state.k)
 
-    def complete(self, sub: Subgrid, scratch: _RowBlocks) -> int:
-        """Makes every row F_k and F_{k-1} do not hold yet; how many."""
-        return self.f.fill(sub, scratch) + self.f_prev.fill(sub, scratch)
-
-    def u(self, out: np.ndarray) -> np.ndarray:
-        """U_k = F_k - F_{k-1} + D_k of complete grids, into out (it may be F_{k-1}'s)."""
+    def u(self, sub: Subgrid, scratch: _RowBlocks, out: np.ndarray) -> tuple[np.ndarray, int]:
+        """U_k = F_k - F_{k-1} + D_k into out (it may be F_{k-1}'s), once every row
+        F_k and F_{k-1} do not hold yet is made; and how many were."""
+        made = self.f.fill(sub, scratch) + self.f_prev.fill(sub, scratch)
         np.subtract(self.f.grid, self.f_prev.grid, out=out).reshape(-1)[self.z_prev.idx] += \
             self.z_prev.d
-        return out
+        return out, made
 
 
 class _RowBlocks:
@@ -337,21 +334,19 @@ def _sum_squares(a: np.ndarray) -> float:
 
 
 def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _RowBlocks,
-           f_out: np.ndarray, g_out: np.ndarray,
-           s_true: np.ndarray | None = None) -> tuple[_SweepForm, ResidualRecord, float]:
-    """Sweep k = s.k + 1: the new form, its residual record, and with s_true the
-    sum of squares of real(U_k)/N^2 - s_true (else 0).  F_k's runs of rows are
-    made in f_out (not s.f), D_{k+1}'s row IFFTs in g_out (it may be s.g).
-    Phase 1 makes rows of F_k a row block's worth at a time, and phase 2 does
-    the support work once."""
+           f_out: np.ndarray, g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
+    """Sweep k = s.k + 1: the new form, its residual record, and what
+    _error_from_sums takes the error from: (C_k - C_{k-1}, ||U_k||^2,
+    Re sum_t D_k (2A + D_k)).  F_k's runs of rows are made in f_out (not s.f),
+    D_{k+1}'s row IFFTs in g_out (it may be s.g).  Phase 1 makes rows of F_k a
+    row block's worth at a time, and phase 2 does the support work once."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
     n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
     c = const.b_j - (_ifft2(s.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
     cols = _fft2(c, sub)
-    # Phase 1: the rows of F_k that can hold an entry above tau, the rows of t,
-    # and with s_true every row, as U_k needs them all (then each group is a row block)
-    need = _screen(cols, tau) if s_true is None else np.ones(n, dtype=bool)
+    # Phase 1: the rows of F_k that can hold an entry above tau, and the rows of t
+    need = _screen(cols, tau)
     need[t.row] = True
     held = np.zeros(n, dtype=bool)  # the rows made in place, in f_out
 
@@ -364,12 +359,6 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
                      f_out[first:last] if run else scratch.u[:len(rows)])
         lo, hi = t.row.searchsorted((first, last))
         on_t = _places(rows, t.idx[lo:hi], t.row[lo:hi], n)  # t's places in v
-        ee = 0.0
-        if s_true is not None:  # U_k = F_k - F_{k-1} + D_k, as _SweepForm.u makes it
-            u = np.subtract(v, s.f.grid[first:last], out=scratch.u[:len(rows)])
-            u.reshape(-1)[on_t] += t.d[lo:hi]
-            err = np.divide(u.real, n**2, out=scratch.re[:len(rows)])
-            ee = _sum_squares(np.subtract(err, s_true[first:last], out=err))
         # V = F_k + Z_{k-1} = F_k off t
         re = np.abs(v, out=scratch.re[:len(rows)]).reshape(-1)
         re[on_t] = 0
@@ -380,10 +369,9 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
             slot, col = np.divmod(hit, n)
             found = rows[slot] * n + col
         v = v.reshape(-1)
-        return found, v.take(on_t), v.take(hit), ee
+        return found, v.take(on_t), v.take(hit)
 
     parts = [grid_work(rows) for rows in _groups(need, h)]
-    ee = sum(part[3] for part in parts)  # in row block order
     # Phase 2: p is t then found, each sorted; F_{k-1} is made where found needs it
     p, m = np.concatenate([t.idx] + [part[0] for part in parts]), len(t.idx)
     lazy = s.f.fill(sub, scratch, p[m:] // n)
@@ -402,6 +390,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     # = A + E, Y_k / beta = F_k - (Z_k - Z_{k-1}); |A + E|^2 - |A|^2 = Re(E* (2A + E))
     np.add(np.add(a, a, out=a), e, out=x1)
     np.add(a, d, out=a)
+    ud = _real_inner(np.conj(d[:m]), a[:m])  # Re sum D_k (2A + D_k): D_k is 0 off t
     np.subtract(dz, np.add(f, f, out=w), out=w)
     rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
     np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
@@ -412,7 +401,8 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     _row_iffts(new.idx, new.row, new.d, sub, scratch.u, g_out)
     dd, zz = _sum_squares(dz), _sum_squares(z)
     n2 = float(n * n)
-    dc = n2 * _sum_squares(c - s.c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval
+    delta_c = c - s.c
+    dc = n2 * _sum_squares(delta_c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval
     rr, uu = rr + dc, uu + dc
     yy = beta**2 * (yy + n2 * _sum_squares(c))
     sums = (rr, dd, uu, zz, yy)
@@ -426,7 +416,8 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
     row_ffts = s.row_ffts + int(np.count_nonzero(need)) + lazy
-    return _SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts), rec, ee
+    return (_SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts), rec,
+            (delta_c, uu, ud))
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
@@ -448,7 +439,7 @@ def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
             and s.dense[0] is state.z and s.dense[1] is state.y):
         s = _SweepForm.of(state, const, scratch)
     new, rec, _ = _sweep(s, const, cfg, scratch, np.empty_like(s.f.grid), np.empty_like(s.g))
-    new.complete(const.sub, scratch)
+    u, _ = new.u(const.sub, scratch, np.empty_like(new.f.grid))
     # Y_k = beta (F_k + Z_{k-1} - Z_k) = beta (F_k + Z_k - D_{k+1})
     z, y, t = np.zeros_like(new.f.grid), np.array(new.f.grid), new.z
     z.reshape(-1)[t.idx] = t.z
@@ -456,7 +447,7 @@ def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
     y1[t.idx] += t.z
     y1[t.idx] -= t.d
     y *= cfg.beta
-    return AdmmState(u=new.u(np.empty_like(y)), z=z, y=y, k=new.k, sweep=const,
+    return AdmmState(u=u, z=z, y=y, k=new.k, sweep=const,
                      form=dataclasses.replace(new, dense=(z, y))), rec
 
 
@@ -478,39 +469,63 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
     s_true = np.ascontiguousarray(s_true, dtype=float)
     if s_true.shape != (ms.n, ms.n):
         raise ShapeMismatch(f"s_true must be {(ms.n, ms.n)}, got {s_true.shape}")
+    if not (np.all(np.isfinite(s_true)) and np.any(s_true)):
+        raise ValueError("s_true must be finite and not all zero")
+    if not target >= 0:  # False for NaN
+        raise ValueError("target must be >= 0")
     return _run(ms, cfg, s_true, target)
+
+
+def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
+    """rel_error(t, dC, uu, ud), the error of real(U_k)/N^2 against a real truth S
+    from _sweep's sums and t, D_k's support: with dC = C_k - C_{k-1}, U_k = A + D_k
+    and A = FFT2(dC) = F_k - F_{k-1}, ||Re U||^2 = (||U||^2 + Re sum U^2) / 2, where
+    sum U^2 = N^2 sum dC(j) dC(-j) over the j with -j in J x J, plus
+    sum_t D_k (2A + D_k), and <U, S> = sum_{J x J} dC FFT2(S) + sum_t D_k S."""
+    n, j, flat, ss = sub.n, sub.j, s_true.reshape(-1), _sum_squares(s_true)
+    fs = n**2 * sampled_ifft2(s_true, sub)  # conj(FFT2(S)[J, J]): S is real
+    at = np.minimum(j.searchsorted((n - j) % n), len(j) - 1)
+    pos = (j[at] == (n - j) % n).nonzero()[0]  # the places in J of the j whose -j is in J
+    pos, neg = np.ix_(pos, pos), np.ix_(at[pos], at[pos])  # and of their -j
+
+    def rel_error(t: _Support, dc: np.ndarray, uu: float, ud: float) -> float:
+        usq = n**2 * _real_inner(np.conj(dc[pos]), dc[neg]) + ud  # Re sum U^2
+        us = _real_inner(fs, dc) + _real_inner(t.d.real, flat.take(t.idx))  # Re <U, S>
+        return math.sqrt(max(0.5 * (uu + usq) / n**4 - 2.0 * us / n**2 + ss, 0.0) / ss)
+    return rel_error
 
 
 def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
          target: float = 0.0) -> SolveReport:
     """Sweeps from zero until the error against s_true is at most target, or without
-    it until the stopping rule holds; converged says if that rule held at any sweep."""
+    it until the stopping rule holds; converged says if that rule held at any sweep.
+    A stop at target is confirmed on the s_hat it writes, as rounding can differ."""
     const = _SweepConstants.of_measurements(ms, cfg.beta)
     scratch = _RowBlocks(const.sub)
-    true_ss = None if s_true is None else _sum_squares(s_true)  # rel_l2_error's, taken once
+    error = None if s_true is None else _error_from_sums(s_true, const.sub)
     history: list[ResidualRecord] = []
-    converged, reason = False, "max_iter"
+    converged, reason, made = False, "max_iter", 0  # made: rows made to write a U
     # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
     spare = zeros = np.zeros((ms.n, ms.n), dtype=complex)
     s = _SweepForm.of(AdmmState(u=zeros, z=zeros, y=zeros), const, scratch)
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
-        s, rec, err_ss = _sweep(s, const, cfg, scratch, spare, s.g, s_true)
+        s, rec, sums = _sweep(s, const, cfg, scratch, spare, s.g)
         spare = s.f_prev.grid
         history.append(rec)
         first = history[0]
         converged = converged or (residual_check(rec)
                                   and rec.r_norm <= cfg.min_drop * first.r_norm
                                   and rec.s_norm <= cfg.min_drop * first.s_norm)
-        if math.sqrt(err_ss / true_ss) <= target if s_true is not None else converged:
-            reason = "tolerance" if s_true is None else "error_target"
-            break
-    row_ffts = s.row_ffts + s.complete(const.sub, scratch)
-    u = s.u(out=spare)  # over F_{k-1}
-    return SolveReport.from_iterate(u, history, converged, start, reason, row_ffts)
-
-
-def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:
-    """Fidelity-plus-penalty value at (U, Z); used for suboptimality diagnostics."""
-    fid = 0.5 * ms.n**2 * np.linalg.norm(sampled_ifft2(u, ms.indices) - ms.b) ** 2
-    return float(fid + lam * np.sum(np.abs(z)))
+        if error is None:
+            if converged:
+                reason = "tolerance"
+                break
+        elif error(s.z_prev, *sums) <= target:
+            u, rows = s.u(const.sub, scratch, np.empty_like(spare))  # spare holds F_{k-1}
+            made += rows
+            if rel_l2_error(np.real(u) / ms.n**2, s_true) <= target:
+                reason = "error_target"
+                break
+    u, rows = s.u(const.sub, scratch, spare)  # over F_{k-1}
+    return SolveReport.from_iterate(u, history, converged, start, reason, s.row_ffts + made + rows)

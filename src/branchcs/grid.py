@@ -27,7 +27,6 @@ __all__ = [
     "column_ifft",
     "column_fft",
     "fft_rows",
-    "embedded_fft2",
     "sample_indices",
     "sampled_measurements",
     "embed_measurements",
@@ -143,8 +142,8 @@ def column_ifft(cols: np.ndarray, indices=None) -> np.ndarray:
 
 
 def column_fft(c, indices=None, n: int | None = None) -> np.ndarray:
-    """The M column transforms that start embedded_fft2: c put on rows J of an
-    n x M zero array, transformed along axis 0.  Row u of FFT2 of c on J x J is
+    """The M column transforms that start FFT2 of c on J x J: c put on rows J of
+    an n x M zero array, transformed along axis 0.  Row u of FFT2 of c on J x J is
     that array's row u put at columns J and transformed (fft_rows).  indices
     is J, or a Subgrid of it (which gives n); plain fft2 if indices is None."""
     if indices is None:
@@ -218,20 +217,6 @@ def _row_iffts(idx: np.ndarray, row: np.ndarray, values: np.ndarray, sub: Subgri
         else:  # by flat indices: an index array on g's second axis is much slower
             g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
     return sum(map(len, groups))
-
-
-def embedded_fft2(c, indices=None, n: int | None = None):
-    """FFT2 of c put on J x J of an n x n zero grid, by M column then n row transforms,
-    in a new array; plain fft2 if indices is None.  indices is J, or a Subgrid of it
-    (which gives n)."""
-    if indices is None:
-        return np.fft.fft2(c)
-    if n is None and not isinstance(indices, Subgrid):
-        raise ValueError("embedded_fft2 needs the grid size n when indices are given")
-    sub = Subgrid.of(n, indices)
-    out = np.zeros((sub.n, sub.n), dtype=complex)
-    out[:, sub.j] = column_fft(c, sub)
-    return np.fft.fft(out, axis=1, out=out)
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

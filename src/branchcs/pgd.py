@@ -8,7 +8,7 @@ BLAS: its norms and inner products are einsum sums.
 
 The loop works on the supports of its iterates (Beck & Teboulle 2009, with the
 screen of El Ghaoui et al. 2012).  S_k and S_{k-1} are kept as sorted flat
-indices with their values, and with R_k = forward(S_k) - B; forward is
+indices with their values, and with R_k = IFFT2(S_k)[J, J] - B; that map is
 linear, so the momentum point Y = S_k + w (S_k - S_{k-1}) has the residual
 R_k + w (R_k - R_{k-1}) and costs no transform.  The gradient G is FFT2 of that
 residual put on J x J.  Row u of G is the DFT of the M entries of row u of its
@@ -33,15 +33,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .admm import _NONE, SolveReport, _real_inner, _sum_squares, soft_threshold
-from .errors import NonFinite, ShapeMismatch
+from .errors import NonFinite
 from .grid import (_MARGIN, MeasurementSet, Subgrid, _places, _row_iffts, _screen, column_fft,
-                   column_ifft, embedded_fft2, fft_rows, sampled_ifft2)
+                   column_ifft, fft_rows)
 
-__all__ = ["PgdConfig", "PgdRecord", "forward", "fidelity_gradient", "smooth_value", "pgd_recover"]
+__all__ = ["PgdConfig", "PgdRecord", "pgd_recover"]
 
 # module-level references so tests can count calls: per iteration, the column
 # half of the gradient, whose rows are made as the screen lets them through,
-# and per backtracking step the column half of a candidate's forward
+# and per backtracking step the column half of a candidate's IFFT2 on J x J
 _fft2 = column_fft
 _ifft2 = column_ifft
 
@@ -72,25 +72,9 @@ class PgdRecord:
     l_used: float
 
 
-def forward(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
-    """Sampled inverse-Fourier measurement of S: IFFT2(S) restricted to J x J."""
-    if s.shape != (ms.n, ms.n):
-        raise ShapeMismatch(f"expected {(ms.n, ms.n)}, got {s.shape}")
-    return sampled_ifft2(s, ms.indices)
-
-
-def fidelity_gradient(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
-    """Gradient of the smooth term, matrix-free: FFT2 of the embedded residual."""
-    return embedded_fft2(forward(s, ms) - ms.b, ms.indices, ms.n)
-
-
-def smooth_value(s: np.ndarray, ms: MeasurementSet) -> float:
-    return 0.5 * ms.n**2 * _sum_squares(forward(s, ms) - ms.b)
-
-
 class _Iterate(NamedTuple):
     """An iterate S on its support: sorted flat grid indices, the values there,
-    and r = forward(S) - B."""
+    and r = IFFT2(S)[J, J] - B."""
 
     idx: np.ndarray
     val: np.ndarray
@@ -115,7 +99,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     start = time.perf_counter()
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)  # k/(k+3) for the previous step index
-        r_y = cur.r + omega * (cur.r - prev.r)  # forward(Y) - B
+        r_y = cur.r + omega * (cur.r - prev.r)  # IFFT2(Y)[J, J] - B
         f_y = 0.5 * n**2 * _sum_squares(r_y)
         if not math.isfinite(f_y):
             raise NonFinite(f"non-finite PGD objective at k={k}")

@@ -1,11 +1,39 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
-and the per-point Riccati solve that checks the HSC PGF flow."""
+the objective and the transforms FISTA's gradient is made of, and the
+per-point Riccati solve that checks the HSC PGF flow."""
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from branchcs.admm import AdmmState, soft_threshold
-from branchcs.grid import MeasurementSet, embedded_fft2, sampled_ifft2
+from branchcs.grid import MeasurementSet, Subgrid, column_fft, fft_rows, sampled_ifft2
+
+
+def smooth_value(s: np.ndarray, ms: MeasurementSet) -> float:
+    """The smooth term 0.5 N^2 ||IFFT2(S)[J, J] - B||^2 of the recovery objective."""
+    return 0.5 * ms.n**2 * np.sum(np.abs(sampled_ifft2(s, ms.indices) - ms.b) ** 2)
+
+
+def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:
+    """Fidelity-plus-penalty value at (U, Z)."""
+    return smooth_value(u, ms) + lam * np.sum(np.abs(z))
+
+
+def fft2_rows(c: np.ndarray, sub: Subgrid) -> np.ndarray:
+    """FFT2 of c on J x J of an N x N grid, every row made as FISTA makes its
+    gradient's: the M column transforms (column_fft), then fft_rows a row
+    block's worth at a time."""
+    cols, h = column_fft(c, sub), len(sub.flat)
+    out = np.empty((sub.n, sub.n), dtype=complex)
+    for i in range(0, sub.n, h):
+        fft_rows(cols[i:i + h], sub, out[i:i + h])
+    return out
+
+
+def fista_gradient(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
+    """The gradient of smooth_value at S by FISTA's transforms: FFT2 of the
+    residual IFFT2(S)[J, J] - B on J x J, by fft2_rows."""
+    return fft2_rows(sampled_ifft2(s, ms.indices) - ms.b, Subgrid(ms.n, ms.indices))
 
 
 def dense_u_solve(ms: MeasurementSet, beta: float, z: np.ndarray,
@@ -48,10 +76,6 @@ def dense_pgd(ms: MeasurementSet, cfg):
     iterates S_1, S_2, ..., the (k, rel_change, l_used) records and whether the
     relative change fell below cfg.tol."""
     n = ms.n
-
-    def smooth(s):
-        return 0.5 * n**2 * np.sum(np.abs(sampled_ifft2(s, ms.indices) - ms.b) ** 2)
-
     s_cur = np.zeros((n, n), dtype=complex)
     s_prev = s_cur.copy()
     l_cur = cfg.l0
@@ -61,12 +85,12 @@ def dense_pgd(ms: MeasurementSet, cfg):
         y = s_cur + omega * (s_cur - s_prev)
         resid = sampled_ifft2(y, ms.indices) - ms.b
         f_y = 0.5 * n**2 * np.sum(np.abs(resid) ** 2)
-        g = embedded_fft2(resid, ms.indices, n)
+        g = fft2_rows(resid, Subgrid(n, ms.indices))
         while True:
             cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
             diff = cand - y
             quad = f_y + np.real(np.vdot(g, diff)) + 0.5 * l_cur * np.sum(np.abs(diff) ** 2)
-            if smooth(cand) <= quad + 1e-12 * max(1.0, f_y):
+            if smooth_value(cand, ms) <= quad + 1e-12 * max(1.0, f_y):
                 break
             l_cur *= cfg.c
         rel = np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0)

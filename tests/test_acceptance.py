@@ -30,10 +30,10 @@ from branchcs.grid import (
 )
 from branchcs.models import ModelSpec, pgf
 from branchcs.oracle import oracle_transition_matrix
-from branchcs.pgd import PgdConfig, fidelity_gradient, pgd_recover, smooth_value
+from branchcs.pgd import PgdConfig, pgd_recover
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, admm_lambda, pgd_lambda
 from conftest import BDS_RATES, HSC_RATES
-from helpers import dense_sweep
+from helpers import dense_sweep, fista_gradient, smooth_value
 
 # Tight stopping used where a run must reach the low-error plateau regardless
 # of the stepsize (large beta converges slowly, so the shipped defaults would
@@ -190,7 +190,8 @@ def test_criterion_6_solver_ordering_and_scaling(hsc_model):
 
 
 def test_criterion_7_pgf_normalization_and_gradient():
-    """PGF normalization at (1,1) and analytic-vs-numeric fidelity gradient."""
+    """PGF normalization at (1,1), and the fidelity gradient as FISTA makes it
+    (column_fft, then fft_rows over every row) against central differences."""
     worst_norm = 0.0
     for kind, rates in (("hsc", HSC_RATES), ("bds", BDS_RATES)):
         for t in (0.35, 1.0, 2.5):
@@ -203,7 +204,7 @@ def test_criterion_7_pgf_normalization_and_gradient():
     ms = _measurements(full, 4, 3, seed=0)
     rng = np.random.default_rng(23)
     s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    g = fidelity_gradient(s, ms)
+    g = fista_gradient(s, ms)
     eps, worst_grad = 1e-6, 0.0
     for _ in range(20):
         d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -15,7 +15,6 @@ from branchcs.admm import (
     ResidualRecord,
     build_mhat,
     iterate,
-    objective,
     recover,
     recover_to_error,
     residual_check,
@@ -35,7 +34,7 @@ from branchcs.grid import (
 )
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults
-from helpers import dense_sweep
+from helpers import dense_sweep, objective
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
 
@@ -506,3 +505,132 @@ class TestScreen:
         report = recover(ms, admm_defaults("hsc", n, m))
         assert report.converged
         assert report.row_ffts < 0.3 * report.iterations * n
+
+
+def error_pairs(ms, cfg, truth, monkeypatch):
+    """Per sweep of a recover_to_error run that makes cfg.max_iter sweeps: the
+    error taken from the sweep's sums, and rel_l2_error of the U written from
+    that sweep's completed grids."""
+    pairs, last = [], []
+    sweep, error_from_sums = admm._sweep, admm._error_from_sums
+
+    def keeping(s, const, cfg, scratch, *grids):
+        new, rec, sums = sweep(s, const, cfg, scratch, *grids)
+        last[:] = [new, const.sub, scratch]
+        return new, rec, sums
+
+    def checking(s_true, sub):
+        rel_error = error_from_sums(s_true, sub)
+
+        def checked(t, *sums):
+            got = rel_error(t, *sums)
+            s, sub, scratch = last
+            u, _ = s.u(sub, scratch, np.empty((sub.n, sub.n), dtype=complex))  # the run's bits
+            pairs.append((got, rel_l2_error(np.real(u) / sub.n**2, truth)))
+            return got
+        return checked
+
+    monkeypatch.setattr(admm, "_sweep", keeping)
+    monkeypatch.setattr(admm, "_error_from_sums", checking)
+    report = recover_to_error(ms, cfg, truth, target=0.0)
+    assert len(pairs) == report.iterations == cfg.max_iter
+    return np.array(pairs)
+
+
+def preset_case(model, n, seed):
+    """Measurements at sampling seed seed, the preset config and the truth."""
+    full = full_measurements(model, n)
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    idx = sample_indices(n, m, seed)
+    ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=seed)
+    return ms, admm_defaults(model.kind, n, m), invert_full(full)
+
+
+class TestErrorFromSums:
+    """recover_to_error runs recover's sweeps and takes the error against the
+    truth from sums they have: it must be the error of the U it would write."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 16, 32]), st.integers(0, 2**32 - 1),
+           st.sampled_from(["any", "with 0 and N/2", "without 0 and N/2", "no pairs"]),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), st.floats(0.01, 1.0))
+    def test_matches_the_error_of_the_completed_u(self, n, seed, kind, lam_frac, beta):
+        # J with and without 0 and N/2 (each its own -j), or in [1, N/2) (no j and -j)
+        rng = np.random.default_rng(seed)
+        pool = np.arange(1, n // 2) if kind == "no pairs" else np.arange(n)
+        j = set(rng.choice(pool, rng.integers(1, len(pool) + 1), replace=False).tolist())
+        if kind == "with 0 and N/2":
+            j |= {0, n // 2}
+        elif kind == "without 0 and N/2":
+            j = (j - {0, n // 2}) or {1}
+        j = np.array(sorted(j))
+        truth = rng.uniform(size=(n, n))
+        b = n**2 * grid.sampled_ifft2(truth + 0.1 * rng.normal(size=(n, n)), j)
+        ms = MeasurementSet(n=n, indices=j, b=b)
+        # lambda / beta a fraction of U's scale, so Z's support is some of the grid
+        cfg = AdmmConfig(beta=beta, lam=lam_frac * beta * n**2, max_iter=12)
+        with pytest.MonkeyPatch.context() as mp:
+            pairs = error_pairs(ms, cfg, truth, mp)
+        assert np.abs(pairs[:, 0] - pairs[:, 1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind,n", [("bds", 256), ("hsc", 512)])
+    def test_matches_at_benchmark_sizes(self, hsc_model, bds_model, monkeypatch, kind, n):
+        ms, cfg, truth = preset_case(bds_model if kind == "bds" else hsc_model, n, 0)
+        pairs = error_pairs(ms, dataclasses.replace(cfg, max_iter=200), truth, monkeypatch)
+        assert np.abs(pairs[:, 0] - pairs[:, 1]).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind,n", [("bds", 256), ("hsc", 128)])
+    def test_a_stop_at_target_holds_on_the_written_s_hat(self, hsc_model, bds_model, kind, n):
+        # targets that recover's own s_hat reaches exactly, the case rounding decides
+        for seed in range(5):
+            ms, cfg, truth = preset_case(bds_model if kind == "bds" else hsc_model, n, seed)
+            for k in (25, 50):
+                target = rel_l2_error(recover(ms, dataclasses.replace(cfg, max_iter=k)).s_hat,
+                                      truth)
+                report = recover_to_error(ms, dataclasses.replace(cfg, max_iter=500), truth,
+                                          target)
+                assert report.stop_reason == "error_target", (seed, k)
+                assert rel_l2_error(report.s_hat, truth) <= target, (seed, k)
+
+    def test_a_stop_is_confirmed_on_the_written_s_hat(self, bds_model, monkeypatch):
+        # sums that read half the error pass sweeps whose s_hat misses the target: they go on
+        ms, cfg, truth = preset_case(bds_model, 128, 0)
+        target = rel_l2_error(recover(ms, dataclasses.replace(cfg, max_iter=20)).s_hat, truth)
+        error_from_sums, confirm, confirms = admm._error_from_sums, admm.rel_l2_error, []
+
+        def counted(*args):
+            confirms.append(confirm(*args))
+            return confirms[-1]
+
+        monkeypatch.setattr(admm, "_error_from_sums", lambda s_true, sub: (
+            lambda *sums, rel_error=error_from_sums(s_true, sub): 0.5 * rel_error(*sums)))
+        monkeypatch.setattr(admm, "rel_l2_error", counted)
+        report = recover_to_error(ms, dataclasses.replace(cfg, max_iter=500), truth, target)
+        assert report.stop_reason == "error_target"
+        assert len(confirms) > 1 and all(err > target for err in confirms[:-1])
+        assert rel_l2_error(report.s_hat, truth) == confirms[-1] <= target
+
+    @pytest.mark.parametrize("kind,n", [("hsc", 64), ("bds", 128)])
+    def test_recover_to_error_runs_recovers_sweeps(self, hsc_model, bds_model, kind, n):
+        # the same s_hat bytes, history and rows made as recover stopped at its sweep
+        ms, cfg, truth = preset_case(bds_model if kind == "bds" else hsc_model, n, 0)
+        cfg = dataclasses.replace(cfg, eps_abs=0.0, eps_rel=0.0, max_iter=500)
+        target = rel_l2_error(recover(ms, dataclasses.replace(cfg, max_iter=30)).s_hat, truth)
+        report = recover_to_error(ms, cfg, truth, target)
+        assert report.stop_reason == "error_target" and report.iterations > 1
+        plain = recover(ms, dataclasses.replace(cfg, max_iter=report.iterations))
+        assert report.s_hat.tobytes() == plain.s_hat.tobytes()
+        assert report.history == plain.history
+        assert report.row_ffts == plain.row_ffts
+
+    def test_truth_and_target_are_checked_before_any_sweep(self, monkeypatch):
+        ms, truth = toy_measurements(16, 12, 0)
+        cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=300)
+        monkeypatch.setattr(admm, "_sweep", None)  # a sweep would raise TypeError
+        for bad in (np.zeros_like(truth), np.where(np.eye(16) > 0, np.nan, truth),
+                    np.where(np.eye(16) > 0, np.inf, truth)):
+            with pytest.raises(ValueError, match="s_true"):
+                recover_to_error(ms, cfg, bad, target=0.05)
+        for target in (float("nan"), -0.01):
+            with pytest.raises(ValueError, match="target"):
+                recover_to_error(ms, cfg, truth, target=target)

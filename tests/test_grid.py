@@ -11,7 +11,6 @@ from branchcs.grid import (
     column_ifft,
     default_m,
     embed_measurements,
-    embedded_fft2,
     fft_rows,
     full_measurements,
     invert_full,
@@ -20,6 +19,7 @@ from branchcs.grid import (
     sampled_ifft2,
     sampled_measurements,
 )
+from helpers import fft2_rows
 
 
 class TestFullGrid:
@@ -147,7 +147,8 @@ class TestDefaults:
 
 
 class TestRestrictedTransforms:
-    """The sampled IFFT2 / embedded FFT2 pair against full-grid numpy transforms."""
+    """The sampled IFFT2 and the embedded FFT2 (column_fft, then fft_rows) against
+    full-grid numpy transforms."""
 
     @pytest.mark.parametrize("n,indices", [
         (16, np.arange(16)),              # J = all indices
@@ -167,16 +168,16 @@ class TestRestrictedTransforms:
         assert np.max(np.abs(got - np.fft.ifft2(x)[sub])) < 1e-12
         embed = np.zeros((n, n), dtype=complex)
         embed[sub] = c
-        assert np.max(np.abs(embedded_fft2(c, indices, n) - np.fft.fft2(embed))) < 1e-12
+        assert np.max(np.abs(fft2_rows(c, Subgrid(n, indices)) - np.fft.fft2(embed))) < 1e-12
 
     def test_default_indices_are_plain_transforms(self):
         x = np.random.default_rng(1).normal(size=(8, 8))
         assert np.array_equal(sampled_ifft2(x), np.fft.ifft2(x))
-        assert np.array_equal(embedded_fft2(x), np.fft.fft2(x))
+        assert np.array_equal(column_fft(x), np.fft.fft2(x))
 
     def test_embedded_needs_grid_size(self):
         with pytest.raises(ValueError):
-            embedded_fft2(np.ones((2, 2)), np.array([0, 1]))
+            column_fft(np.ones((2, 2)), np.array([0, 1]))
 
     def test_subgrid_rejects_indices_off_the_grid(self):
         for bad in ([0, 4], [-1, 2], [[0, 1]]):
@@ -202,8 +203,8 @@ class TestRestrictedTransforms:
         cols = np.fft.ifft(x, axis=1)[:, j]
         assert np.array_equal(column_ifft(cols, sub), want_ifft)
         assert np.array_equal(column_ifft(cols), np.fft.ifft(cols, axis=0))
-        assert np.array_equal(embedded_fft2(c, j, n), want_fft)
-        assert np.array_equal(embedded_fft2(c, sub), want_fft)
+        assert np.array_equal(column_fft(c, j, n), column_fft(c, sub))
+        assert np.array_equal(fft2_rows(c, sub), want_fft)
         # any rows of FFT2, made alone or packed together from the column transforms,
         # have the bits of the whole grid's rows, as the ADMM sweep's screen needs
         embedded = np.zeros((n, len(j)), dtype=complex)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from branchcs import grid, pgd
 from branchcs.admm import AdmmConfig, recover, recover_to_error, soft_threshold
-from branchcs.errors import NonFinite, ShapeMismatch
+from branchcs.errors import NonFinite
 from branchcs.grid import (
     MeasurementSet,
     default_m,
@@ -21,9 +21,9 @@ from branchcs.grid import (
     sample_indices,
 )
 from branchcs.models import ModelSpec, RatesHSC
-from branchcs.pgd import PgdConfig, fidelity_gradient, forward, pgd_recover, smooth_value
+from branchcs.pgd import PgdConfig, pgd_recover
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, pgd_lambda
-from helpers import dense_pgd
+from helpers import dense_pgd, fft2_rows, fista_gradient, smooth_value
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
 
@@ -37,12 +37,14 @@ def toy_measurements(n: int, m: int, seed: int):
 
 
 class TestGradient:
+    """The gradient FISTA makes (column_fft, then fft_rows) against the objective."""
+
     def test_matches_central_differences(self):
         # 20 random complex directions on an N = 4 toy, 1e-6 relative
         ms, _ = toy_measurements(4, 3, 0)
         rng = np.random.default_rng(11)
         s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        g = fidelity_gradient(s, ms)
+        g = fista_gradient(s, ms)
         eps = 1e-6
         for _ in range(20):
             d = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -58,13 +60,8 @@ class TestGradient:
         full = full_measurements(model, 8)
         ms_all = MeasurementSet(n=8, indices=full_idx, b=full)
         u_true = 8**2 * invert_full(full).astype(complex)
-        g = fidelity_gradient(u_true, ms_all)
+        g = fista_gradient(u_true, ms_all)
         assert np.max(np.abs(g)) < 1e-8
-
-    def test_forward_shape_check(self):
-        ms, _ = toy_measurements(4, 3, 0)
-        with pytest.raises(ShapeMismatch):
-            forward(np.zeros((8, 8), complex), ms)
 
 
 class TestPgdRecovery:
@@ -225,7 +222,7 @@ class TestSparseLoop:
         lam = np.abs(cols[u]).sum() * (1.0 + 1e-12 * nudge) / ((1.0 - 1e-9) if at_cut else 1.0)
         made = grid._screen(cols, lam)
         assert made[np.abs(cols).sum(axis=1) > lam].all()
-        g = grid.embedded_fft2(r, sub)  # the rows fft_rows makes, with their bits
+        g = fft2_rows(r, sub)  # the rows fft_rows makes, with their bits
         assert np.abs(g[~made]).max(initial=0.0) <= lam
         skipped = ~made[:, None] | (np.abs(g) <= lam * (1.0 - grid._MARGIN))
         cand = soft_threshold(0 - g * (1.0 / l_step), lam / l_step)
@@ -261,6 +258,6 @@ def test_matched_accuracy_counts_at_bds_256(bds_model):
         assert p.converged
         p_err = rel_l2_error(p.s_hat, s_true)
         a = recover_to_error(ms, admm_defaults("bds", n, m, max_iter=25000), s_true, p_err)
-        assert rel_l2_error(a.s_hat, s_true) <= p_err
+        assert a.stop_reason == "error_target" and rel_l2_error(a.s_hat, s_true) <= p_err
         counts.append((p.iterations, a.iterations))
     assert counts == [(373, 86), (369, 86), (356, 87), (366, 59), (376, 87)]
