@@ -24,12 +24,11 @@ def write_matrix(path, arr: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     flags = FLAG_COMPLEX if np.iscomplexobj(arr) else 0
-    header = MAGIC + struct.pack("<III", arr.shape[0], arr.shape[1], flags)
-    if flags & FLAG_COMPLEX:
-        body = np.ascontiguousarray(arr, dtype="<c16").tobytes()
-    else:
-        body = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    # the array's own buffer when it is C-ordered <c16 / <f8 already, else one copy
+    body = np.ascontiguousarray(arr, dtype="<c16" if flags & FLAG_COMPLEX else "<f8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<III", arr.shape[0], arr.shape[1], flags))
+        fh.write(body.data)
 
 
 def read_matrix(path) -> np.ndarray:

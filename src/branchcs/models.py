@@ -5,6 +5,12 @@ solution of a backward Kolmogorov ODE driven by the type-2 solution, which for
 HSC is one linear 2 x 2 flow for a whole grid of arguments.  All
 functions accept arbitrary complex arguments with |s| <= 1; the Fourier grid
 supplies points on the unit circle.
+
+The ODEs are integrated by `solve_ivp`, a port of scipy's RK45 that gives
+the same bits and evaluation counts as `scipy.integrate.solve_ivp` for the
+calls made here.  It is kept in-house because importing scipy.integrate takes
+most of a `branchcs` process's start-up time and about 50 MB of memory; scipy
+is left to the oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure
 
@@ -78,8 +83,8 @@ class ModelSpec:
             raise ValueError("hsc model requires RatesHSC")
         if self.kind == "bds" and not isinstance(self.rates, RatesBDS):
             raise ValueError("bds model requires RatesBDS")
-        if not self.t > 0:
-            raise ValueError("t must be > 0")
+        if not 0 < self.t < math.inf:  # False for NaN
+            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
         j, k = self.init
         if j < 0 or k < 0 or j + k < 1:
             raise ValueError("init must be non-negative with j + k >= 1")
@@ -87,11 +92,24 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OdeConfig:
-    """Tolerances for the adaptive RK45 integrator."""
+    """Tolerances for `solve_ivp`, the in-house RK45 integrator.
+
+    Its steps are scipy's RK45 to the bit, without the scipy.integrate import
+    that would dominate start-up time and memory.  An rtol below 100
+    machine epsilons is raised to that floor, as scipy does.
+    """
 
     rtol: float = 1e-10
     atol: float = 1e-10
     max_step: float = field(default=np.inf)
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            if not 0 <= getattr(self, name) < math.inf:  # False for NaN
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not self.max_step > 0:  # inf is allowed: no cap
+            raise ValueError("max_step must be > 0")
+        object.__setattr__(self, "rtol", max(self.rtol, 100 * np.finfo(float).eps))
 
 
 DEFAULT_ODE = OdeConfig()
@@ -115,10 +133,99 @@ def bds_phi01(t: float, s2: complex, rates: RatesBDS) -> complex:
     return 1.0 + (s2 - 1.0) / (math.exp(x) - g * (s2 - 1.0) * t * ratio)
 
 
+# Dormand-Prince 5(4): nodes, stage weights, 5th-order weights, error weights.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    y: np.ndarray  # n x 1: the state where the run ended, at t_bound if it succeeded
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float, max_step: float = np.inf) -> OdeResult:
+    """Forward RK45 of y' = fun(t, y) over t_span, as scipy.integrate.solve_ivp does it.
+
+    The same initial-step heuristic, step and error arithmetic (down to the
+    order of its np.dot calls), step-size rules and minimum-step failure, so
+    y and nfev carry scipy's bits.  rtol is taken as given: OdeConfig floors it.
+    """
+    t, t_bound = map(float, t_span)
+    if not t_bound > t:
+        raise ValueError("solve_ivp integrates forward only")
+    y = np.asarray(y0)
+    dtype = complex if np.issubdtype(y.dtype, np.complexfloating) else float
+    y = y.astype(dtype, copy=False)
+    nfev = 0
+
+    def f_at(tau, state):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(tau, state), dtype=dtype)
+
+    f = f_at(t, y)
+    if y.size:  # initial step (Hairer, Norsett & Wanner, Sec. II.4)
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, t_bound - t)
+        d2 = _rms((f_at(t + h0, y + h0 * f) - f) / scale) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** (1 / 5))
+        h_abs = min(100 * h0, h1, t_bound - t, max_step)
+    k = np.empty((len(_C) + 1, y.size), dtype=dtype)
+    while y.size and t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeResult(y[:, None], nfev, False,
+                                 "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                k[s] = f_at(t + c * h, y + np.dot(k[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            f_new = k[-1] = f_at(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(k.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0
+                          else min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return OdeResult(y[:, None], nfev, True,
+                     "The solver successfully reached the end of the integration interval.")
+
+
 def _integrate(rhs, t: float, y0: np.ndarray, ode_cfg: OdeConfig) -> np.ndarray:
     """y(t) of y' = rhs(tau, y), y(0) = y0, by adaptive RK45."""
-    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=ode_cfg.rtol,
-                    atol=ode_cfg.atol, max_step=ode_cfg.max_step)
+    sol = solve_ivp(rhs, (0.0, t), y0, rtol=ode_cfg.rtol, atol=ode_cfg.atol,
+                    max_step=ode_cfg.max_step)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol.y[:, -1]

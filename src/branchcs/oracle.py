@@ -10,12 +10,15 @@ are lower bounds; truncation_mass bounds the leak.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import NonConvergent
 from .models import ModelSpec
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "TruncatedGenerator",
@@ -62,6 +65,9 @@ def _events(model: ModelSpec):
 
 def build_generator(model: ModelSpec, n_trunc: int) -> TruncatedGenerator:
     """Generator with overall rates multiplicative in the particle counts."""
+    # Imported here: scipy is slow to load and only the oracle needs it.
+    from scipy import sparse
+
     events = _events(model)
     n = n_trunc
     rows, cols, vals = [], [], []
@@ -96,7 +102,8 @@ def transition_probs_uniformized(gen: TruncatedGenerator, init: tuple[int, int],
     Sums Poisson(Lambda t)-weighted powers of K = I + Q/Lambda until the
     Poisson tail drops below tol.
     """
-    # Imported here: scipy.stats is slow to load and only the oracle needs it.
+    # Imported here: scipy is slow to load and only the oracle needs it.
+    from scipy import sparse
     from scipy.stats import poisson
 
     n = gen.n_trunc

@@ -321,7 +321,8 @@ class TestExitCodes:
         ({"init": None}, "init"),
         ({"rates": {"rho": 0.125, "mu": 0.147}}, "nu"),
         ({"rates": {"rho": 0.125, "nu": "fast", "mu": 0.147}}, "nu"),
-    ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate"])
+        ({"t": float("inf")}, "t must be finite"),
+    ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate", "infinite-t"])
     def test_config_schema_error_is_usage_error(self, tmp_path, capsys, change, key):
         cfg = {k: v for k, v in {**HSC_CONFIG, **change}.items() if v is not None}
         path = tmp_path / "cfg.json"
@@ -339,6 +340,25 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_solve_and_recover_load_no_scipy(tmp_path):
+    # scipy is the oracle's alone: start-up of the other commands must not pay for it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HSC_CONFIG))
+    common = f"'--config', {str(cfg)!r}, '--out-dir', {str(tmp_path)!r}"
+    code = "\n".join([
+        "import sys, branchcs, branchcs.cli",
+        f"assert branchcs.cli.main(['solve', {common}, '--n', '16']) == 0",
+        f"assert branchcs.cli.main(['recover', {common}, '--n', '16', '--max-iter', '5']) == 0",
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        f"assert branchcs.cli.main(['oracle', {common}, '--n-trunc', '6']) == 0",
+        "print(loaded)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 # The CLI contract: each manifest's keys in order, and the stdout line.

@@ -1,5 +1,8 @@
 """Binary and CSV matrix serialization."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,32 @@ class TestBinaryFormat:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_matrix(tmp_path / "x.bpm", np.zeros(5))
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "big-endian", "int"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bytes_for_every_layout(self, tmp_path, kind, layout):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(9, 8)) + (1j * rng.normal(size=(9, 8)) if kind == "complex" else 0)
+        arr = {"c": base, "fortran": np.asfortranarray(base), "strided": base[1::2, ::3],
+               "big-endian": base.astype(base.dtype.newbyteorder(">")),
+               "int": np.arange(72).reshape(9, 8) * (1 + 2j if kind == "complex" else 1)}[layout]
+        path = tmp_path / "m.bpm"
+        write_matrix(path, arr)
+        dtype = "<c16" if kind == "complex" else "<f8"
+        want = (b"BPM1" + struct.pack("<III", *arr.shape, kind == "complex")
+                + np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        assert path.read_bytes() == want
+        assert np.array_equal(read_matrix(path), arr)
+
+    def test_a_c_ordered_matrix_is_written_without_a_copy(self, tmp_path):
+        arr = np.ones((256, 256), dtype=complex)  # 1 MB
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "m.bpm", arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.nbytes // 8
 
 
 class TestCsv:

@@ -183,6 +183,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="hsc", rates=HSC_RATES, t=0.0, init=(1, 0))
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            ModelSpec(kind="hsc", rates=HSC_RATES, t=t, init=(1, 0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rtol", math.nan), ("rtol", math.inf), ("rtol", -1e-10),
+        ("atol", math.nan), ("atol", math.inf), ("atol", -1e-10),
+        ("max_step", math.nan), ("max_step", 0.0), ("max_step", -1.0),
+    ])
+    def test_bad_ode_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OdeConfig(**{field: value})
+
+    def test_rtol_floored_as_scipy_does(self):
+        assert OdeConfig(rtol=0.0).rtol == OdeConfig(rtol=1e-20).rtol == 100 * np.finfo(float).eps
+        assert OdeConfig(rtol=1e-13).rtol == 1e-13
+
 
 class TestConfigParsing:
     def test_round_trip(self):
