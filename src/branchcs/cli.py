@@ -106,7 +106,7 @@ def cmd_solve(args, model, out_dir: Path) -> tuple[dict, str]:
     s_path = _write_matrix(out_dir / "S_full", s, args.format)
     fields = {"n": args.n, "pgf_evals": args.n * args.n, "outputs": [str(s_path)],
               "total_mass": float(s.sum())}
-    return fields, f"wrote {s_path} (total mass {s.sum():.6f})"
+    return fields, f"wrote {s_path} (total mass {fields['total_mass']:.6f})"
 
 
 def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:

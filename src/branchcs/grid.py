@@ -1,8 +1,9 @@
 """Fourier-domain measurement grids and exact transition-probability inversion.
 
 Convention: the forward transform is the unnormalized DFT with kernel
-e^{-2 pi i l u / N} (numpy fft2); the 1/N^2 factor is applied exactly once,
-here in invert_full and in the ADMM module's final rescale.
+e^{-2 pi i l u / N} (numpy fft2); the 1/N^2 factor is applied exactly once:
+by the inverse transform (irfft2) that invert_full runs, and in the ADMM
+module's final rescale.
 """
 
 from __future__ import annotations
@@ -63,33 +64,38 @@ def check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 2, got {n}")
 
 
-def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig) -> np.ndarray:
-    """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols."""
+def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig, out=None) -> np.ndarray:
+    """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols,
+    written into out if it is given."""
     check_grid_size(n)
     return pgf_block(model, np.exp(2j * np.pi * np.asarray(rows) / n),
-                     np.exp(2j * np.pi * np.asarray(cols) / n), ode_cfg)
+                     np.exp(2j * np.pi * np.asarray(cols) / n), ode_cfg, out)
 
 
 def full_measurements(model: ModelSpec, n: int,
                       ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
     """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
 
-    Columns 0..N/2 are computed; column v above N/2 is conj of column N - v
-    with its rows reflected (the coefficients are real).
+    Columns 0..N/2 are computed, in place; column v above N/2 is conj of
+    column N - v with its rows reflected (the coefficients are real).
     """
     half = n // 2 + 1
     b = np.empty((n, n), dtype=complex)
-    b[:, :half] = _pgf_block(model, n, np.arange(n), np.arange(half), ode_cfg)
+    _pgf_block(model, n, np.arange(n), np.arange(half), ode_cfg, out=b[:, :half])
     np.conj(b[(n - np.arange(n)[:, None]) % n, n - np.arange(half, n)], out=b[:, half:])
     return b
 
 
 def invert_full(b_full: np.ndarray) -> np.ndarray:
-    """Exact transition probabilities: real(FFT2(B)) / N^2."""
+    """Exact transition probabilities real(FFT2(B)) / N^2, for B the grid of a real
+    matrix, which its columns 0..N/2 fix: only those are read.  The result is
+    IFFT2(conj B), made as irfft2 makes it from their conj (column transforms,
+    here in place, then real row transforms), with irfft2's bits."""
     if b_full.ndim != 2 or b_full.shape[0] != b_full.shape[1]:
         raise NonSquareGrid(f"expected square grid, got {b_full.shape}")
     n = b_full.shape[0]
-    return np.real(np.fft.fft2(b_full)) / n**2
+    half = np.conj(b_full[:, :n // 2 + 1])
+    return np.fft.irfft(np.fft.ifft(half, axis=0, out=half), n=n, axis=1)
 
 
 # The solvers make the rows of a grid a row block's worth at a time: about

@@ -231,8 +231,9 @@ def _integrate(rhs, t: float, y0: np.ndarray, ode_cfg: OdeConfig) -> np.ndarray:
     return sol.y[:, -1]
 
 
-def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
-    """PGF of the model at every (s1[i], s2[v]), as a len(s1) x len(s2) array.
+def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE, out=None) -> np.ndarray:
+    """PGF of the model at every (s1[i], s2[v]), as a len(s1) x len(s2) array,
+    written into out (a complex array of that shape) if it is given.
 
     The type-2 PGF phi2 has a closed form.  The type-1 PGF phi1 solves a
     backward equation driven by it, from phi1(0) = s1:
@@ -245,12 +246,14 @@ def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.
     1972): one solve for every s2.  Without the shift by h, which leaves the
     ratio as it is, W would decay into atol at long t.  BDS takes one solve per
     s2, of every s1 as one vector-valued system.  Per particle independence
-    phi_{jk} = phi1^j phi2^k.
+    phi_{jk} = phi1^j phi2^k, which for the init (1, 0) is phi1 itself.
     """
     s1 = np.atleast_1d(np.asarray(s1, dtype=complex))
     s2 = np.atleast_1d(np.asarray(s2, dtype=complex))
     (j, k), t, rates, m = model.init, model.t, model.rates, len(s2)
-    p1 = np.ones((len(s1), m), dtype=complex)
+    p1 = np.empty((len(s1), m), dtype=complex) if out is None else out
+    if not j:
+        p1.fill(1)
     if model.kind == "hsc":
         p2 = hsc_phi2(t, s2, rates)
         if j:
@@ -263,7 +266,9 @@ def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.
 
             w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)  # W(0) = I for every s2
             a, b, c, d = _integrate(flow, t, w0, ode_cfg).reshape(4, m)
-            p1 = (np.multiply.outer(s1, a) + b) / (np.multiply.outer(s1, c) + d)
+            np.add(np.multiply.outer(s1, a, out=p1), b, out=p1)
+            den = np.multiply.outer(s1, c)
+            np.divide(p1, np.add(den, d, out=den), out=p1)
     else:
         p2 = bds_phi01(t, s2, rates)
         g, sg, d = rates.gamma, rates.sigma, rates.delta
@@ -273,7 +278,9 @@ def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.
                 return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
 
             p1[:, col] = _integrate(rhs, t, s1, ode_cfg)
-    return p1 ** j * p2 ** k
+    if (j, k) != (1, 0):
+        np.multiply(p1 ** j, p2 ** k, out=p1)
+    return p1
 
 
 def pgf_many(model: ModelSpec, s1, s2: complex, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:

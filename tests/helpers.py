@@ -1,10 +1,14 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
-the objective and the transforms FISTA's gradient is made of, and the
-per-point Riccati solve that checks the HSC PGF flow."""
+the objective and the transforms FISTA's gradient is made of, the per-point
+Riccati solve that checks the HSC PGF flow, and the out-of-place PGF grid
+whose bits the in-place one must keep."""
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from branchcs import models
 from branchcs.admm import AdmmState, soft_threshold
 from branchcs.grid import MeasurementSet, Subgrid, column_fft, fft_rows, sampled_ifft2
 
@@ -117,3 +121,43 @@ def riccati_pgf(model, s1: complex, s2: complex, tol: float = 1e-13) -> complex:
     sol = solve_ivp(rhs, (0.0, model.t), [complex(s1)], method="DOP853", rtol=tol, atol=tol)
     assert sol.success, sol.message
     return sol.y[0, -1] ** j * (1.0 + (s2 - 1.0) * np.exp(-mu * model.t)) ** k
+
+
+def out_of_place_grid(model, n: int) -> np.ndarray:
+    """The full N x N PGF grid made out of place: models.pgf_block as it was
+    before it wrote into its output, with the Moebius ratio
+    (outer(s1, a) + b) / (outer(s1, c) + d) and then p1 ** j * p2 ** k for
+    every init, and the upper columns mirrored from the lower ones."""
+    half = n // 2 + 1
+    s1, s2 = np.exp(2j * np.pi * np.arange(n) / n), np.exp(2j * np.pi * np.arange(half) / n)
+    (j, k), t, rates, m = model.init, model.t, model.rates, half
+    ode_cfg = models.DEFAULT_ODE
+    p1 = np.ones((n, m), dtype=complex)
+    if model.kind == "hsc":
+        p2 = models.hsc_phi2(t, s2, rates)
+        if j:
+            rho, nu, mu, h = rates.rho, rates.nu, rates.mu, 0.5 * (rates.rho + rates.nu)
+
+            def flow(tau, w):
+                top, bottom = w.reshape(2, 2, m)
+                f = nu * (1.0 + (s2 - 1.0) * math.exp(-mu * tau))
+                return np.concatenate((f * bottom - h * top, h * bottom - rho * top), axis=None)
+
+            w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)
+            a, b, c, d = models._integrate(flow, t, w0, ode_cfg).reshape(4, m)
+            p1 = (np.multiply.outer(s1, a) + b) / (np.multiply.outer(s1, c) + d)
+    else:
+        p2 = models.bds_phi01(t, s2, rates)
+        g, sg, d = rates.gamma, rates.sigma, rates.delta
+        for col in range(m if j else 0):
+            def rhs(tau, phi, v=s2[col]):
+                p01 = models.bds_phi01(tau, v, rates)
+                return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
+
+            p1[:, col] = models._integrate(rhs, t, s1, ode_cfg)
+    grid = np.empty((n, n), dtype=complex)
+    grid[:, :half] = p1 ** j * p2 ** k
+    refl = (n - np.arange(n)) % n
+    for v in range(half, n):
+        grid[:, v] = np.conj(grid[refl, n - v])
+    return grid

@@ -1,7 +1,12 @@
 """Measurement grids, exact inversion, sampling, and error metrics."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchcs.errors import MTooLarge, NonSquareGrid
 from branchcs.grid import (
@@ -19,7 +24,7 @@ from branchcs.grid import (
     sampled_ifft2,
     sampled_measurements,
 )
-from helpers import fft2_rows
+from helpers import fft2_rows, out_of_place_grid
 
 
 class TestFullGrid:
@@ -38,6 +43,13 @@ class TestFullGrid:
         for v in range(n // 2 + 1, n):
             loop[:, v] = np.conj(loop[refl, n - v])
         assert b.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("kind, n, init", [
+        *((kind, 64, init) for kind in ("hsc", "bds") for init in ((1, 0), (0, 1), (2, 3))),
+        ("hsc", 512, (1, 0))])
+    def test_grid_keeps_the_out_of_place_bits(self, hsc_model, bds_model, kind, n, init):
+        model = dataclasses.replace(hsc_model if kind == "hsc" else bds_model, init=init)
+        assert full_measurements(model, n).tobytes() == out_of_place_grid(model, n).tobytes()
 
     def test_corner_is_normalization_point(self, hsc64_full):
         # node (0, 0) evaluates the PGF at (1, 1)
@@ -72,6 +84,51 @@ class TestFullGrid:
         s = rng.random((n, n))
         b = np.fft.ifft2(s) * n**2  # synthesize grid values from a "truth"
         assert np.max(np.abs(invert_full(b) - s)) < 1e-12
+
+
+class TestInvertFull:
+    """invert_full reads columns 0..N/2 of the grid of a real matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 4, 16, 256]), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+    def test_round_trip_of_a_real_matrix(self, n, seed, scale):
+        s = scale * np.random.default_rng(seed).normal(size=(n, n))
+        b = np.fft.ifft2(s) * n**2
+        back = invert_full(b)
+        assert back.tobytes() == np.fft.irfft2(np.conj(b[:, :n // 2 + 1]), s=(n, n)).tobytes()
+        assert back.dtype == np.float64 and back.shape == (n, n)
+        assert np.max(np.abs(back - s)) <= 1e-13 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("kind, n", [("hsc", 512), ("bds", 256)])
+    def test_model_grid_matches_the_full_transform(self, hsc_model, bds_model, kind, n):
+        b = full_measurements(hsc_model if kind == "hsc" else bds_model, n)
+        want = np.real(np.fft.fft2(b)) / n**2
+        assert np.max(np.abs(invert_full(b) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_upper_columns_are_not_read(self, hsc_model):
+        n = 512
+        b = full_measurements(hsc_model, n)
+        s = invert_full(b)
+        rng = np.random.default_rng(3)
+        b[:, n // 2 + 1:] = rng.normal(size=(n, n // 2 - 1)) + 1j * rng.normal(size=(n, n // 2 - 1))
+        b[::7, -1] = np.nan
+        assert invert_full(b).tobytes() == s.tobytes()
+
+    def test_exact_path_holds_few_grid_sized_temporaries(self, hsc_model):
+        n = 512
+        full_measurements(hsc_model, n)  # a first call outside the trace
+        tracemalloc.start()
+        try:
+            b = full_measurements(hsc_model, n)
+            grid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            s = invert_full(b)
+            invert_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert grid_peak <= 1.75 * b.nbytes
+        assert invert_peak <= 3.5 * s.nbytes
 
 
 class TestSampling:
