@@ -9,8 +9,8 @@ supplies points on the unit circle.
 The ODEs are integrated by `solve_ivp`, a port of scipy's RK45 that gives
 the same bits and evaluation counts as `scipy.integrate.solve_ivp` for the
 calls made here.  It is kept in-house because importing scipy.integrate takes
-most of a `branchcs` process's start-up time and about 50 MB of memory; scipy
-is left to the oracle.
+most of a `branchcs` process's start-up time and about 50 MB of memory;
+branchcs imports no scipy module.
 """
 
 from __future__ import annotations

@@ -1,42 +1,39 @@
 """Small-state-space ground truth via a truncated generator and uniformization.
 
-Independent of the PGF/Fourier pipeline: builds the instantaneous-rate
-generator on a truncated box and computes the transient distribution with
-Poisson-weighted powers of the uniformized kernel.  Transitions leaving the
-box are dropped, so rows are substochastic and the reported probabilities
-are lower bounds; truncation_mass bounds the leak.
+Independent of the PGF/Fourier pipeline.  On the box [0, n_trunc)^2 the
+generator Q is a stencil, one shift per event, and the transient distribution
+is a Poisson(Lambda t)-weighted sum of powers of K = I + Q/Lambda (Jensen 1953,
+Grassmann 1977).  Moves leaving the box are dropped, so the probabilities are
+lower bounds; truncation_mass bounds the leak.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonConvergent
 from .models import ModelSpec
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
-__all__ = [
-    "TruncatedGenerator",
-    "OracleResult",
-    "build_generator",
-    "transition_probs_uniformized",
-    "oracle_transition_matrix",
-]
+__all__ = ["TruncatedGenerator", "OracleResult", "build_generator",
+           "transition_probs_uniformized", "oracle_transition_matrix"]
 
 _MAX_POISSON_TERMS = 100_000
 
 
 @dataclass(frozen=True)
 class TruncatedGenerator:
-    """Sparse generator Q over states [0, n_trunc)^2, row-indexed x1*n_trunc + x2."""
+    """Generator Q over states [0, n_trunc)^2 as a stencil.
+
+    events are (dx1, dx2, rate), rate[x1, x2] being the event's rate out of (x1, x2);
+    out_rate = -diag Q is each state's total rate out, moves that leave the box included.
+    """
 
     n_trunc: int
-    q: sparse.csr_matrix
+    events: tuple[tuple[int, int, np.ndarray], ...]
+    out_rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -45,91 +42,82 @@ class OracleResult:
     truncation_mass: float
 
 
-def _events(model: ModelSpec):
-    """Per-state event list: (dx1, dx2, per-particle rate, which population scales it)."""
+def build_generator(model: ModelSpec, n_trunc: int) -> TruncatedGenerator:
+    """The model's generator on [0, n_trunc)^2, rates multiplicative in the particle counts."""
+    x1, x2 = np.indices((n_trunc, n_trunc))
     r = model.rates
     if model.kind == "hsc":
-        return [
-            (+1, 0, r.rho, 1),   # self-renewal
-            (-1, +1, r.nu, 1),   # differentiation
-            (0, -1, r.mu, 2),    # progenitor death
-        ]
-    return [
-        (0, +1, r.gamma, 1),     # birth off an original location
-        (-1, +1, r.sigma, 1),    # shift
-        (-1, 0, r.delta, 1),     # death of an original
-        (0, +1, r.gamma, 2),     # birth off a new location
-        (0, -1, r.delta, 2),     # death of a new location
-    ]
+        events = ((+1, 0, r.rho * x1),      # self-renewal
+                  (-1, +1, r.nu * x1),      # differentiation
+                  (0, -1, r.mu * x2))       # progenitor death
+    else:
+        events = ((0, +1, r.gamma * x1),    # birth off an original location
+                  (-1, +1, r.sigma * x1),   # shift
+                  (-1, 0, r.delta * x1),    # death of an original
+                  (0, +1, r.gamma * x2),    # birth off a new location
+                  (0, -1, r.delta * x2))    # death of a new location
+    return TruncatedGenerator(n_trunc, events, sum(rate for _, _, rate in events))
 
 
-def build_generator(model: ModelSpec, n_trunc: int) -> TruncatedGenerator:
-    """Generator with overall rates multiplicative in the particle counts."""
-    # Imported here: scipy is slow to load and only the oracle needs it.
-    from scipy import sparse
+def _kernel(gen: TruncatedGenerator, lam: float):
+    """The step v -> v K of K = I + Q/lam on n_trunc x n_trunc arrays."""
+    n = gen.n_trunc
+    stay = 1.0 - gen.out_rate / lam
+    moves = [(slice(1 + dx1, n + 1 + dx1), slice(1 + dx2, n + 1 + dx2), rate / lam)
+             for dx1, dx2, rate in gen.events]
 
-    events = _events(model)
-    n = n_trunc
-    rows, cols, vals = [], [], []
-    for x1 in range(n):
-        for x2 in range(n):
-            i = x1 * n + x2
-            out_rate = 0.0
-            for dx1, dx2, rate, pop in events:
-                count = x1 if pop == 1 else x2
-                if count == 0:
-                    continue
-                total = count * rate
-                out_rate += total
-                y1, y2 = x1 + dx1, x2 + dx2
-                if 0 <= y1 < n and 0 <= y2 < n:
-                    rows.append(i)
-                    cols.append(y1 * n + y2)
-                    vals.append(total)
-                # else: mass leaks out of the box; row stays substochastic
-            if out_rate > 0:
-                rows.append(i)
-                cols.append(i)
-                vals.append(-out_rate)
-    q = sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
-    return TruncatedGenerator(n_trunc=n, q=q)
+    def step(v: np.ndarray) -> np.ndarray:
+        ghost = np.zeros((n + 2, n + 2))  # its border takes the moves that leave the box
+        for rows, cols, p in moves:
+            ghost[rows, cols] += v * p
+        return v * stay + ghost[1:-1, 1:-1]
+
+    return step
+
+
+def _poisson_weights(mu: float, tol: float) -> np.ndarray:
+    """Poisson(mu) pmf at 0..k_max, k_max being one past the first k with P(X > k) <= tol."""
+    if mu >= _MAX_POISSON_TERMS:  # the median is above mu - ln 2, so k_max > cap for tol < 1/2
+        raise NonConvergent(f"uniformization needs more than {_MAX_POISSON_TERMS} Poisson "
+                            f"terms (Lambda t = {mu:.3g})")
+    # P(X >= mu + x) <= exp(-x^2 / (2 mu + 2x/3)) (Bennett): the mass past hi is below tol e^-40
+    log_eps = 40.0 - math.log(tol)
+    hi = int(mu + log_eps + math.sqrt(2.0 * log_eps * mu)) + 1
+    lgamma = np.array([math.lgamma(k + 1.0) for k in range(hi + 1)])
+    pmf = np.exp(np.arange(hi + 1) * math.log(mu) - lgamma - mu)
+    tail = np.cumsum(pmf[::-1])[::-1]  # tail[k] = P(X >= k)
+    k_max = int(np.argmax(tail[1:] <= tol)) + 1
+    if k_max > _MAX_POISSON_TERMS:
+        raise NonConvergent(f"uniformization needs {k_max} Poisson terms "
+                            f"(cap {_MAX_POISSON_TERMS})")
+    return pmf[:k_max + 1]
 
 
 def transition_probs_uniformized(gen: TruncatedGenerator, init: tuple[int, int],
                                  t: float, tol: float = 1e-12) -> OracleResult:
     """Row of e^{Qt} for the initial state via uniformization.
 
-    Sums Poisson(Lambda t)-weighted powers of K = I + Q/Lambda until the
-    Poisson tail drops below tol.
+    Sums Poisson(Lambda t)-weighted powers of K = I + Q/Lambda, Lambda being the
+    largest out-rate, until the Poisson tail drops below tol, 0 < tol < 1.
     """
-    # Imported here: scipy is slow to load and only the oracle needs it.
-    from scipy import sparse
-    from scipy.stats import poisson
-
+    if not 0 < tol < 1:  # False for NaN
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     n = gen.n_trunc
     j, k = init
     if not (0 <= j < n and 0 <= k < n):
         raise ValueError("init outside truncated state space")
-    q = gen.q
-    lam_max = float(np.max(-q.diagonal()))
-    if lam_max == 0 or t == 0:
-        probs = np.zeros((n, n))
-        probs[j, k] = 1.0
-        return OracleResult(probs=probs, truncation_mass=0.0)
-    mu = lam_max * t
-    k_max = int(poisson.isf(tol, mu)) + 1
-    if k_max > _MAX_POISSON_TERMS:
-        raise NonConvergent(f"uniformization needs {k_max} Poisson terms (cap {_MAX_POISSON_TERMS})")
-    weights = poisson.pmf(np.arange(k_max + 1), mu)
-    kernel = sparse.identity(n * n, format="csr") + q / lam_max
-    v = np.zeros(n * n)
-    v[j * n + k] = 1.0
+    v = np.zeros((n, n))
+    v[j, k] = 1.0
+    lam = float(gen.out_rate.max())
+    if lam == 0 or t == 0:
+        return OracleResult(probs=v, truncation_mass=0.0)
+    weights = _poisson_weights(lam * t, tol)
+    step = _kernel(gen, lam)
     acc = weights[0] * v
-    for step in range(1, k_max + 1):
-        v = v @ kernel
-        acc += weights[step] * v
-    probs = acc.reshape(n, n)
-    return OracleResult(probs=probs, truncation_mass=float(1.0 - probs.sum()))
+    for w in weights[1:]:
+        v = step(v)
+        acc += w * v
+    return OracleResult(probs=acc, truncation_mass=float(1.0 - acc.sum()))
 
 
 def oracle_transition_matrix(model: ModelSpec, n_trunc: int,

@@ -1,12 +1,15 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
 the objective and the transforms FISTA's gradient is made of, the per-point
-Riccati solve that checks the HSC PGF flow, and the out-of-place PGF grid
-whose bits the in-place one must keep."""
+Riccati solve that checks the HSC PGF flow, the out-of-place PGF grid
+whose bits the in-place one must keep, and the sparse generator and
+scipy-weighted uniformization that check the oracle's stencil."""
 
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.stats import poisson
 
 from branchcs import models
 from branchcs.admm import AdmmState, soft_threshold
@@ -161,3 +164,57 @@ def out_of_place_grid(model, n: int) -> np.ndarray:
     for v in range(half, n):
         grid[:, v] = np.conj(grid[refl, n - v])
     return grid
+
+
+def csr_generator(model, n_trunc: int) -> sparse.csr_matrix:
+    """The model's generator on [0, n_trunc)^2 as a sparse matrix, row-indexed
+    x1 * n_trunc + x2, built state by state: the oracle's generator before it
+    became a stencil.  Moves that leave the box are dropped from the row and
+    kept in its diagonal, so boundary rows sum below zero."""
+    r = model.rates
+    if model.kind == "hsc":  # (dx1, dx2, per-particle rate, which population scales it)
+        events = [(+1, 0, r.rho, 1), (-1, +1, r.nu, 1), (0, -1, r.mu, 2)]
+    else:
+        events = [(0, +1, r.gamma, 1), (-1, +1, r.sigma, 1), (-1, 0, r.delta, 1),
+                  (0, +1, r.gamma, 2), (0, -1, r.delta, 2)]
+    n = n_trunc
+    rows, cols, vals = [], [], []
+    for x1 in range(n):
+        for x2 in range(n):
+            i = x1 * n + x2
+            out_rate = 0.0
+            for dx1, dx2, rate, pop in events:
+                count = x1 if pop == 1 else x2
+                if count == 0:
+                    continue
+                total = count * rate
+                out_rate += total
+                y1, y2 = x1 + dx1, x2 + dx2
+                if 0 <= y1 < n and 0 <= y2 < n:
+                    rows.append(i)
+                    cols.append(y1 * n + y2)
+                    vals.append(total)
+            if out_rate > 0:
+                rows.append(i)
+                cols.append(i)
+                vals.append(-out_rate)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n * n, n * n))
+
+
+def csr_uniformized(q: sparse.csr_matrix, init: tuple[int, int], t: float,
+                    tol: float = 1e-12) -> np.ndarray:
+    """The init row of e^{Qt} as the oracle made it before it became a stencil:
+    scipy.stats Poisson weights through k_max = isf(tol, Lambda t) + 1 on
+    powers of the sparse kernel I + Q/Lambda."""
+    n = math.isqrt(q.shape[0])
+    lam = float(np.max(-q.diagonal()))
+    k_max = int(poisson.isf(tol, lam * t)) + 1
+    weights = poisson.pmf(np.arange(k_max + 1), lam * t)
+    kernel = sparse.identity(n * n, format="csr") + q / lam
+    v = np.zeros(n * n)
+    v[init[0] * n + init[1]] = 1.0
+    acc = weights[0] * v
+    for w in weights[1:]:
+        v = v @ kernel
+        acc += w * v
+    return acc.reshape(n, n)

@@ -314,6 +314,13 @@ class TestExitCodes:
         assert main(argv + ["--config", hsc_config, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1.5", "inf"])
+    def test_bad_oracle_tol_is_usage_error(self, hsc_config, tmp_path, capsys, tol):
+        assert main(["oracle", "--config", hsc_config, "--out-dir", str(tmp_path),
+                     "--n-trunc", "6", "--tol", tol]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tol" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("change, key", [
         ({"model": None}, "model"),
         ({"rates": None}, "rates"),
@@ -333,17 +340,8 @@ class TestExitCodes:
         assert err.startswith("error: ") and key in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the oracle needs it.
-    code = "import sys, branchcs.cli; print('scipy.stats' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_solve_and_recover_load_no_scipy(tmp_path):
-    # scipy is the oracle's alone: start-up of the other commands must not pay for it
+    # branchcs runs on numpy alone: no command, the oracle included, pays scipy's start-up
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(HSC_CONFIG))
     common = f"'--config', {str(cfg)!r}, '--out-dir', {str(tmp_path)!r}"
@@ -351,8 +349,8 @@ def test_solve_and_recover_load_no_scipy(tmp_path):
         "import sys, branchcs, branchcs.cli",
         f"assert branchcs.cli.main(['solve', {common}, '--n', '16']) == 0",
         f"assert branchcs.cli.main(['recover', {common}, '--n', '16', '--max-iter', '5']) == 0",
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
         f"assert branchcs.cli.main(['oracle', {common}, '--n-trunc', '6']) == 0",
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
         "print(loaded)",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
