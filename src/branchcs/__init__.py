@@ -25,7 +25,7 @@ from .grid import (
     sample_indices,
     sampled_measurements,
 )
-from .models import ModelSpec, OdeConfig, RatesBDS, RatesHSC, model_from_config, pgf
+from .models import ModelSpec, RatesBDS, RatesHSC, model_from_config, pgf
 from .oracle import oracle_transition_matrix
 from .pgd import PgdConfig, pgd_recover
 

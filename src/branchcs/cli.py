@@ -149,6 +149,8 @@ def _parse_grid(spec: str) -> list[float]:
     if len(parts) != 3 or scale not in ("log", "lin"):
         raise ValueError(f"--grid must be start:stop:num[:log|lin], got {spec!r}")
     start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+    if num < 1:
+        raise ValueError(f"--grid needs num >= 1, got {spec!r}")
     space = np.geomspace if scale == "log" else np.linspace
     return list(space(start, stop, num))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MTooLarge, NonSquareGrid
-from .models import DEFAULT_ODE, ModelSpec, OdeConfig, pgf_block
+from .models import ModelSpec, pgf_block
 
 __all__ = [
     "MeasurementSet",
@@ -64,16 +64,15 @@ def check_grid_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 2, got {n}")
 
 
-def _pgf_block(model: ModelSpec, n: int, rows, cols, ode_cfg: OdeConfig, out=None) -> np.ndarray:
+def _pgf_block(model: ModelSpec, n: int, rows, cols, out=None) -> np.ndarray:
     """PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}), u in rows, v in cols,
     written into out if it is given."""
     check_grid_size(n)
     return pgf_block(model, np.exp(2j * np.pi * np.asarray(rows) / n),
-                     np.exp(2j * np.pi * np.asarray(cols) / n), ode_cfg, out)
+                     np.exp(2j * np.pi * np.asarray(cols) / n), out)
 
 
-def full_measurements(model: ModelSpec, n: int,
-                      ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
+def full_measurements(model: ModelSpec, n: int) -> np.ndarray:
     """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
 
     Columns 0..N/2 are computed, in place; column v above N/2 is conj of
@@ -81,7 +80,7 @@ def full_measurements(model: ModelSpec, n: int,
     """
     half = n // 2 + 1
     b = np.empty((n, n), dtype=complex)
-    _pgf_block(model, n, np.arange(n), np.arange(half), ode_cfg, out=b[:, :half])
+    _pgf_block(model, n, np.arange(n), np.arange(half), out=b[:, :half])
     np.conj(b[(n - np.arange(n)[:, None]) % n, n - np.arange(half, n)], out=b[:, half:])
     return b
 
@@ -236,11 +235,10 @@ def sample_indices(n: int, m: int, seed: int) -> np.ndarray:
 
 
 def sampled_measurements(model: ModelSpec, n: int, indices,
-                         ode_cfg: OdeConfig = DEFAULT_ODE,
                          seed: int | None = None) -> MeasurementSet:
     """PGF values at the M x M subgrid J x J; performs exactly M^2 evaluations."""
     indices = np.asarray(indices, dtype=int)
-    b = _pgf_block(model, n, indices, indices, ode_cfg)
+    b = _pgf_block(model, n, indices, indices)
     return MeasurementSet(n=n, indices=indices, b=b, seed=seed)
 
 

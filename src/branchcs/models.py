@@ -6,17 +6,17 @@ HSC is one linear 2 x 2 flow for a whole grid of arguments.  All
 functions accept arbitrary complex arguments with |s| <= 1; the Fourier grid
 supplies points on the unit circle.
 
-The ODEs are integrated by `solve_ivp`, a port of scipy's RK45 that gives
-the same bits and evaluation counts as `scipy.integrate.solve_ivp` for the
-calls made here.  It is kept in-house because importing scipy.integrate takes
-most of a `branchcs` process's start-up time and about 50 MB of memory;
-branchcs imports no scipy module.
+The ODEs are integrated at rtol = atol = 1e-10 by `solve_ivp`, a port of
+scipy's RK45 that gives the same bits and evaluation counts as
+`scipy.integrate.solve_ivp` for the calls made here.  It is kept in-house
+because importing scipy.integrate takes most of a `branchcs` process's
+start-up time and about 50 MB of memory; branchcs imports no scipy module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -27,11 +27,9 @@ __all__ = [
     "RatesHSC",
     "RatesBDS",
     "ModelSpec",
-    "OdeConfig",
     "hsc_phi2",
     "bds_phi01",
     "pgf",
-    "pgf_many",
     "pgf_block",
     "model_from_config",
 ]
@@ -90,31 +88,6 @@ class ModelSpec:
             raise ValueError("init must be non-negative with j + k >= 1")
 
 
-@dataclass(frozen=True)
-class OdeConfig:
-    """Tolerances for `solve_ivp`, the in-house RK45 integrator.
-
-    Its steps are scipy's RK45 to the bit, without the scipy.integrate import
-    that would dominate start-up time and memory.  An rtol below 100
-    machine epsilons is raised to that floor, as scipy does.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-10
-    max_step: float = field(default=np.inf)
-
-    def __post_init__(self):
-        for name in ("rtol", "atol"):
-            if not 0 <= getattr(self, name) < math.inf:  # False for NaN
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not self.max_step > 0:  # inf is allowed: no cap
-            raise ValueError("max_step must be > 0")
-        object.__setattr__(self, "rtol", max(self.rtol, 100 * np.finfo(float).eps))
-
-
-DEFAULT_ODE = OdeConfig()
-
-
 def hsc_phi2(t: float, s2: complex, rates: RatesHSC) -> complex:
     """Type-2 (progenitor) PGF: pure death, closed form 1 + (s2 - 1) e^{-mu t}."""
     return 1.0 + (s2 - 1.0) * math.exp(-rates.mu * t)
@@ -147,6 +120,7 @@ _B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
 _E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_RTOL = _ATOL = 1e-10  # every PGF solve's tolerances
 
 
 @dataclass(frozen=True)
@@ -161,12 +135,13 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def solve_ivp(fun, t_span, y0, rtol: float, atol: float, max_step: float = np.inf) -> OdeResult:
+def solve_ivp(fun, t_span, y0, rtol: float, atol: float) -> OdeResult:
     """Forward RK45 of y' = fun(t, y) over t_span, as scipy.integrate.solve_ivp does it.
 
     The same initial-step heuristic, step and error arithmetic (down to the
     order of its np.dot calls), step-size rules and minimum-step failure, so
-    y and nfev carry scipy's bits.  rtol is taken as given: OdeConfig floors it.
+    y and nfev carry scipy's bits.  rtol is taken as given: scipy raises one
+    below 100 machine epsilons to that floor, which no call here reaches.
     """
     t, t_bound = map(float, t_span)
     if not t_bound > t:
@@ -190,11 +165,11 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, max_step: float = np.in
         d2 = _rms((f_at(t + h0, y + h0 * f) - f) / scale) / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** (1 / 5))
-        h_abs = min(100 * h0, h1, t_bound - t, max_step)
+        h_abs = min(100 * h0, h1, t_bound - t)
     k = np.empty((len(_C) + 1, y.size), dtype=dtype)
     while y.size and t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -222,16 +197,15 @@ def solve_ivp(fun, t_span, y0, rtol: float, atol: float, max_step: float = np.in
                      "The solver successfully reached the end of the integration interval.")
 
 
-def _integrate(rhs, t: float, y0: np.ndarray, ode_cfg: OdeConfig) -> np.ndarray:
+def _integrate(rhs, t: float, y0: np.ndarray) -> np.ndarray:
     """y(t) of y' = rhs(tau, y), y(0) = y0, by adaptive RK45."""
-    sol = solve_ivp(rhs, (0.0, t), y0, rtol=ode_cfg.rtol, atol=ode_cfg.atol,
-                    max_step=ode_cfg.max_step)
+    sol = solve_ivp(rhs, (0.0, t), y0, rtol=_RTOL, atol=_ATOL)
     if not sol.success:
         raise IntegrationFailure(sol.message)
     return sol.y[:, -1]
 
 
-def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE, out=None) -> np.ndarray:
+def pgf_block(model: ModelSpec, s1, s2, out=None) -> np.ndarray:
     """PGF of the model at every (s1[i], s2[v]), as a len(s1) x len(s2) array,
     written into out (a complex array of that shape) if it is given.
 
@@ -265,7 +239,7 @@ def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE, out=No
                 return np.concatenate((f * bottom - h * top, h * bottom - rho * top), axis=None)
 
             w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)  # W(0) = I for every s2
-            a, b, c, d = _integrate(flow, t, w0, ode_cfg).reshape(4, m)
+            a, b, c, d = _integrate(flow, t, w0).reshape(4, m)
             np.add(np.multiply.outer(s1, a, out=p1), b, out=p1)
             den = np.multiply.outer(s1, c)
             np.divide(p1, np.add(den, d, out=den), out=p1)
@@ -277,21 +251,15 @@ def pgf_block(model: ModelSpec, s1, s2, ode_cfg: OdeConfig = DEFAULT_ODE, out=No
                 p01 = bds_phi01(tau, v, rates)
                 return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
 
-            p1[:, col] = _integrate(rhs, t, s1, ode_cfg)
+            p1[:, col] = _integrate(rhs, t, s1)
     if (j, k) != (1, 0):
         np.multiply(p1 ** j, p2 ** k, out=p1)
     return p1
 
 
-def pgf_many(model: ModelSpec, s1, s2: complex, ode_cfg: OdeConfig = DEFAULT_ODE) -> np.ndarray:
-    """PGF of the model at many s1 values sharing one s2: a column of pgf_block."""
-    return pgf_block(model, s1, s2, ode_cfg)[:, 0]
-
-
-def pgf(model: ModelSpec, s1: complex, s2: complex,
-        ode_cfg: OdeConfig = DEFAULT_ODE) -> complex:
+def pgf(model: ModelSpec, s1: complex, s2: complex) -> complex:
     """phi_{jk}(t, s1, s2) for the model's initial state."""
-    return complex(pgf_block(model, s1, s2, ode_cfg)[0, 0])
+    return complex(pgf_block(model, s1, s2)[0, 0])
 
 
 def model_from_config(cfg: dict) -> ModelSpec:

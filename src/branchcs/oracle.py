@@ -44,6 +44,8 @@ class OracleResult:
 
 def build_generator(model: ModelSpec, n_trunc: int) -> TruncatedGenerator:
     """The model's generator on [0, n_trunc)^2, rates multiplicative in the particle counts."""
+    if n_trunc < 1:
+        raise ValueError(f"n_trunc must be >= 1, got {n_trunc}")
     x1, x2 = np.indices((n_trunc, n_trunc))
     r = model.rates
     if model.kind == "hsc":

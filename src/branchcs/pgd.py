@@ -1,10 +1,12 @@
 """Accelerated proximal-gradient (FISTA) baseline for the same recovery problem.
 
 Solves min 0.5 * N^2 ||restrict_J(IFFT2(S)) - B||^2 + lambda ||S||_1 with
-momentum k/(k+3) and a backtracking line search; shares the measurement
-bookkeeping and soft-threshold prox with the ADMM module so both solvers
-target the identical objective.  Like the ADMM sweep, an iteration calls no
-BLAS: its norms and inner products are einsum sums.
+momentum k/(k+3); shares the measurement bookkeeping and soft-threshold prox
+with the ADMM module so both solvers target the identical objective.  For
+every J, N^2 A^H A is an orthogonal projection (A S = IFFT2(S)[J, J]), so the
+smooth term's gradient is Lipschitz with L = 1 exactly and every iteration
+takes the step 1/L = 1: S+ = prox_lam(Y - G), with no line search.  Like the
+ADMM sweep, an iteration calls no BLAS: its norms are einsum sums.
 
 The loop works on the supports of its iterates (Beck & Teboulle 2009, with the
 screen of El Ghaoui et al. 2012).  S_k and S_{k-1} are kept as sorted flat
@@ -13,14 +15,13 @@ linear, so the momentum point Y = S_k + w (S_k - S_{k-1}) has the residual
 R_k + w (R_k - R_{k-1}) and costs no transform.  The gradient G is FFT2 of that
 residual put on J x J.  Row u of G is the DFT of the M entries of row u of its
 column transforms, so their L1 norm bounds the row; and off Y's support Y = 0,
-so the candidate prox_{lam/L}(Y - G/L) is 0 wherever |G| <= lam, whatever L.
-An iteration therefore makes only the rows of G that hold Y's support or whose
-bound exceeds lam (1 - margin), and takes the candidate, the backtracking sums
-and the relative change only on the entries where Y is not 0 or |G| exceeds
-that cut.  Each backtracking step makes the row IFFTs of those entries' rows
-and the M column IFFTs: an iteration makes two restricted transform sets (the
-gradient's and a candidate's) where the dense loop made three.  The iterates
-are the dense loop's within rounding.
+so the candidate prox_lam(Y - G) is 0 wherever |G| <= lam.  An iteration
+therefore makes only the rows of G that hold Y's support or whose bound
+exceeds lam (1 - margin), and takes the candidate and the relative change only
+on the entries where Y is not 0 or |G| exceeds that cut.  The candidate's
+residual takes the row IFFTs of those entries' rows and the M column IFFTs: an
+iteration makes exactly two restricted transform sets, the gradient's and the
+candidate's.  The iterates are the dense loop's within rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admm import _NONE, SolveReport, _real_inner, _sum_squares, soft_threshold
+from .admm import _NONE, SolveReport, _sum_squares, soft_threshold
 from .errors import NonFinite
 from .grid import (_MARGIN, MeasurementSet, Subgrid, _places, _row_iffts, _screen, column_fft,
                    column_ifft, fft_rows)
@@ -41,7 +42,7 @@ __all__ = ["PgdConfig", "PgdRecord", "pgd_recover"]
 
 # module-level references so tests can count calls: per iteration, the column
 # half of the gradient, whose rows are made as the screen lets them through,
-# and per backtracking step the column half of a candidate's IFFT2 on J x J
+# and the column half of the candidate's IFFT2 on J x J
 _fft2 = column_fft
 _ifft2 = column_ifft
 
@@ -49,24 +50,21 @@ _ifft2 = column_ifft
 @dataclass(frozen=True)
 class PgdConfig:
     lam: float
-    l0: float = 1.0
-    c: float = 2.0
     max_iter: int = 5000
     tol: float = 1e-6
 
     def __post_init__(self):
         if not self.lam >= 0:  # False for NaN
             raise ValueError("lam must be >= 0")
-        if not self.l0 > 0:
-            raise ValueError("l0 must be > 0")
-        if not self.c > 1:
-            raise ValueError("c must be > 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
 class PgdRecord:
+    """One iteration: its index, the relative change of S, and the Lipschitz
+    constant whose inverse was the step, which is always 1."""
+
     k: int
     rel_change: float
     l_used: float
@@ -82,7 +80,7 @@ class _Iterate(NamedTuple):
 
 
 def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
-    """FISTA with backtracking: S+ = prox_{lam/L}(Y - grad(Y)/L).
+    """FISTA with the exact step 1/L = 1: S+ = prox_lam(Y - grad(Y)).
 
     Each vector of an iteration is freed once it is no longer used: in the
     first iterations almost every entry is held, so they are grid-sized.
@@ -92,7 +90,6 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     h = len(sub.flat)  # rows in a row block
     g_cols = np.empty((len(sub.j), n), dtype=complex)  # a candidate's row IFFTs at columns J
     cur = prev = _Iterate(_NONE, np.empty(0, dtype=complex), -ms.b)
-    l_cur = cfg.l0
     cut = lam * (1.0 - _MARGIN)
     history: list[PgdRecord] = []
     converged, row_ffts = False, 0
@@ -100,8 +97,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)  # k/(k+3) for the previous step index
         r_y = cur.r + omega * (cur.r - prev.r)  # IFFT2(Y)[J, J] - B
-        f_y = 0.5 * n**2 * _sum_squares(r_y)
-        if not math.isfinite(f_y):
+        if not math.isfinite(_sum_squares(r_y)):
             raise NonFinite(f"non-finite PGD objective at k={k}")
         cols = _fft2(r_y, sub)
         # the rows of G that can hold |G| > lam, and Y's
@@ -135,30 +131,21 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
         y = np.add(s_on, np.multiply(np.subtract(s_on, y, out=y), omega, out=y), out=y)
         del s_on
         idx_on = np.add(made.take(on // n) * n, np.remainder(on, n, out=on), out=on)
-        while True:
-            v = np.multiply(g_on, 1.0 / l_cur)
-            cand = soft_threshold(np.subtract(y, v, out=v), lam / l_cur, out=v)
-            if not np.all(np.isfinite(cand)):
-                raise NonFinite(f"non-finite PGD iterate at k={k}")
-            diff = cand - y
-            quad = f_y + _real_inner(g_on, diff) + 0.5 * l_cur * _sum_squares(diff)
-            del diff
-            # the rows of on: the candidate's, and a few that turned out 0
-            rows_buf = np.empty((h, n), dtype=complex)  # the chunk diff left, not a new one
-            row_ffts += _row_iffts(idx_on, idx_on // n, cand, sub, rows_buf, g_cols)
-            r = _ifft2(g_cols.T, sub) - ms.b
-            # a slack on the scale of quad's terms: at an exact L they cancel to rounding
-            if 0.5 * n**2 * _sum_squares(r) <= quad + 1e-12 * max(1.0, f_y):
-                break
-            l_cur *= cfg.c
+        cand = soft_threshold(np.subtract(y, g_on, out=g_on), lam, out=g_on)
         del y, g_on
+        if not np.all(np.isfinite(cand)):
+            raise NonFinite(f"non-finite PGD iterate at k={k}")
+        # the rows of on: the candidate's, and a few that turned out 0
+        row_ffts += _row_iffts(idx_on, idx_on // n, cand, sub,
+                               np.empty((h, n), dtype=complex), g_cols)
+        r = _ifft2(g_cols.T, sub) - ms.b
         diff = cand.copy()
         diff[at_cur] -= cur.val  # the candidate less S_k
         rel = math.sqrt(_sum_squares(diff)) / max(math.sqrt(_sum_squares(cur.val)), 1.0)
-        history.append(PgdRecord(k=k, rel_change=rel, l_used=l_cur))
+        history.append(PgdRecord(k=k, rel_change=rel, l_used=1.0))
         nz = cand.nonzero()[0]
         prev, cur = cur, _Iterate(idx_on[nz], cand[nz], r)
-        del diff, at_cur, v, cand, nz, on, idx_on  # before the next iteration's vectors
+        del diff, at_cur, cand, nz, on, idx_on  # before the next iteration's vectors
         if rel < cfg.tol:
             converged = True
             break

@@ -78,30 +78,21 @@ def dense_sweep(ms: MeasurementSet, beta: float, lam: float,
 
 def dense_pgd(ms: MeasurementSet, cfg):
     """FISTA on dense N x N grids, the loop pgd_recover replaced: every iterate
-    is a full grid and each iteration makes three restricted transform sets
-    (forward of Y, the gradient, forward of the candidate).  Returns the list of
-    iterates S_1, S_2, ..., the (k, rel_change, l_used) records and whether the
-    relative change fell below cfg.tol."""
+    is a full grid and each iteration makes the forward transform of Y and the
+    gradient, and takes the step 1/L of L = 1.  Returns the list of iterates
+    S_1, S_2, ..., the (k, rel_change) records and whether the relative change
+    fell below cfg.tol."""
     n = ms.n
     s_cur = np.zeros((n, n), dtype=complex)
     s_prev = s_cur.copy()
-    l_cur = cfg.l0
     iterates, history = [], []
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)
         y = s_cur + omega * (s_cur - s_prev)
-        resid = sampled_ifft2(y, ms.indices) - ms.b
-        f_y = 0.5 * n**2 * np.sum(np.abs(resid) ** 2)
-        g = fft2_rows(resid, Subgrid(n, ms.indices))
-        while True:
-            cand = soft_threshold(y - g * (1.0 / l_cur), cfg.lam / l_cur)
-            diff = cand - y
-            quad = f_y + np.real(np.vdot(g, diff)) + 0.5 * l_cur * np.sum(np.abs(diff) ** 2)
-            if smooth_value(cand, ms) <= quad + 1e-12 * max(1.0, f_y):
-                break
-            l_cur *= cfg.c
+        g = fft2_rows(sampled_ifft2(y, ms.indices) - ms.b, Subgrid(n, ms.indices))
+        cand = soft_threshold(y - g, cfg.lam)
         rel = np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0)
-        history.append((k, rel, l_cur))
+        history.append((k, rel))
         iterates.append(cand)
         s_prev, s_cur = s_cur, cand
         if rel < cfg.tol:
@@ -134,7 +125,6 @@ def out_of_place_grid(model, n: int) -> np.ndarray:
     half = n // 2 + 1
     s1, s2 = np.exp(2j * np.pi * np.arange(n) / n), np.exp(2j * np.pi * np.arange(half) / n)
     (j, k), t, rates, m = model.init, model.t, model.rates, half
-    ode_cfg = models.DEFAULT_ODE
     p1 = np.ones((n, m), dtype=complex)
     if model.kind == "hsc":
         p2 = models.hsc_phi2(t, s2, rates)
@@ -147,7 +137,7 @@ def out_of_place_grid(model, n: int) -> np.ndarray:
                 return np.concatenate((f * bottom - h * top, h * bottom - rho * top), axis=None)
 
             w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)
-            a, b, c, d = models._integrate(flow, t, w0, ode_cfg).reshape(4, m)
+            a, b, c, d = models._integrate(flow, t, w0).reshape(4, m)
             p1 = (np.multiply.outer(s1, a) + b) / (np.multiply.outer(s1, c) + d)
     else:
         p2 = models.bds_phi01(t, s2, rates)
@@ -157,7 +147,7 @@ def out_of_place_grid(model, n: int) -> np.ndarray:
                 p01 = models.bds_phi01(tau, v, rates)
                 return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
 
-            p1[:, col] = models._integrate(rhs, t, s1, ode_cfg)
+            p1[:, col] = models._integrate(rhs, t, s1)
     grid = np.empty((n, n), dtype=complex)
     grid[:, :half] = p1 ** j * p2 ** k
     refl = (n - np.arange(n)) % n

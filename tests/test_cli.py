@@ -321,6 +321,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "tol" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:0"], "--grid"),
+        (["oracle", "--n-trunc", "0"], "n_trunc"),
+        (["oracle", "--n-trunc", "-3"], "n_trunc"),
+    ], ids=["grid-num-0", "n-trunc-0", "n-trunc-negative"])
+    def test_a_count_below_one_is_a_usage_error_naming_it(self, hsc_config, tmp_path, capsys,
+                                                          argv, name):
+        # a sweep over no points wrote an empty CSV and exited 0, and the oracle's
+        # errors for a box of no states named neither it nor its flag
+        out = tmp_path / "out"
+        assert main(argv + ["--config", hsc_config, "--out-dir", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+        assert not any(out.iterdir())  # no table, matrix or manifest
+
     @pytest.mark.parametrize("change, key", [
         ({"model": None}, "model"),
         ({"rates": None}, "rates"),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from branchcs import models
 from branchcs.errors import IntegrationFailure
 from branchcs.grid import full_measurements
-from branchcs.models import DEFAULT_ODE, ModelSpec, OdeConfig, RatesBDS, RatesHSC, pgf_block
+from branchcs.models import ModelSpec, RatesBDS, RatesHSC, pgf_block
 from conftest import HSC_RATES
 from helpers import riccati_pgf
 
@@ -64,11 +64,13 @@ def test_a_grid_takes_one_hsc_solve_and_one_bds_solve_per_column(hsc_model, bds_
     assert len(calls) == 1 + 33
 
 
-def _solves_match_scipy(model, ode_cfg, s1, s2):
-    """Run pgf_block with each of its solves checked against scipy's RK45; scipy's results."""
+def _solves_match_scipy(model, s1, s2, **tols):
+    """Run pgf_block with each of its solves checked against scipy's RK45, at the
+    tolerances pgf_block passes or those tols overrides; scipy's results."""
     ours, refs = models.solve_ivp, []
 
     def both(fun, t_span, y0, **kwargs):
+        kwargs.update(tols)
         sol = ours(fun, t_span, y0, **kwargs)
         ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="RK45", **kwargs)
         assert (sol.success, sol.nfev) == (ref.success, ref.nfev)
@@ -77,7 +79,7 @@ def _solves_match_scipy(model, ode_cfg, s1, s2):
         return sol
 
     with mock.patch.object(models, "solve_ivp", both):
-        pgf_block(model, s1, s2, ode_cfg)
+        pgf_block(model, s1, s2)
     return refs
 
 
@@ -101,29 +103,28 @@ def any_models(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(any_models(), tols, tols, st.booleans(), st.lists(in_disk, min_size=1, max_size=3),
+@given(any_models(), tols, tols, st.lists(in_disk, min_size=1, max_size=3),
        st.lists(on_circle, min_size=1, max_size=3))
-def test_solve_ivp_is_scipys_rk45(model, rtol, atol, capped, s1, s2):
-    cfg = OdeConfig(rtol=rtol, atol=atol, max_step=model.t / 7 if capped else np.inf)
-    assert _solves_match_scipy(model, cfg, s1, s2)
+def test_solve_ivp_is_scipys_rk45(model, rtol, atol, s1, s2):
+    assert _solves_match_scipy(model, s1, s2, rtol=rtol, atol=atol)
 
 
 def test_solve_ivp_is_scipys_rk45_through_rejected_steps():
     # gamma = delta = 3 at s2 = 1 rejects 8 steps: the factor rules after a rejection
     model = ModelSpec(kind="bds", rates=RatesBDS(3.0, 1.0, 3.0), t=50.0, init=(1, 0))
-    refs = _solves_match_scipy(model, DEFAULT_ODE, [0.5, -1.0, 1j], [1.0, -1.0])
+    refs = _solves_match_scipy(model, [0.5, -1.0, 1j], [1.0, -1.0])
     assert _rejected_steps(refs[0]) == 8
 
 
 def test_a_blow_up_raises_integration_failure():
     # y' = y^2, y(0) = 1 blows up at t = 1: scipy fails after 7802 evaluations
     rhs, y0 = (lambda t, y: y * y), np.array([1 + 0j])
-    sol = models.solve_ivp(rhs, (0.0, 2.0), y0, rtol=DEFAULT_ODE.rtol, atol=DEFAULT_ODE.atol)
-    ref = scipy.integrate.solve_ivp(rhs, (0.0, 2.0), y0, method="RK45", rtol=DEFAULT_ODE.rtol,
-                                    atol=DEFAULT_ODE.atol)
+    sol = models.solve_ivp(rhs, (0.0, 2.0), y0, rtol=models._RTOL, atol=models._ATOL)
+    ref = scipy.integrate.solve_ivp(rhs, (0.0, 2.0), y0, method="RK45", rtol=models._RTOL,
+                                    atol=models._ATOL)
     assert (sol.success, sol.nfev, sol.message) == (False, 7802, ref.message) == (
         ref.success, ref.nfev, ref.message)
     assert sol.y[:, -1].tobytes() == ref.y[:, -1].tobytes()
     with pytest.raises(IntegrationFailure, match="^Required step size is less than spacing"):
-        models._integrate(rhs, 2.0, y0, DEFAULT_ODE)
+        models._integrate(rhs, 2.0, y0)
 

@@ -9,14 +9,12 @@ from scipy.integrate import solve_ivp
 
 from branchcs.models import (
     ModelSpec,
-    OdeConfig,
     RatesBDS,
     RatesHSC,
     bds_phi01,
     hsc_phi2,
     model_from_config,
     pgf,
-    pgf_many,
 )
 from conftest import BDS_RATES, HSC_RATES
 
@@ -143,13 +141,6 @@ class TestPgfProperties:
             val = pgf(model, np.exp(1j * a1), np.exp(1j * a2))
             assert abs(val) <= 1.0 + 1e-9
 
-    def test_pgf_many_matches_scalar(self, hsc_model):
-        s1 = np.exp(2j * np.pi * np.arange(5) / 7)
-        s2 = np.exp(2j * np.pi / 5)
-        batch = pgf_many(hsc_model, s1, s2)
-        for i, v in enumerate(s1):
-            assert abs(batch[i] - pgf(hsc_model, v, s2)) < 1e-10
-
     def test_particle_independence_power(self):
         # phi_{jk} = phi1^j phi2^k
         base = ModelSpec(kind="hsc", rates=HSC_RATES, t=1.0, init=(1, 0))
@@ -188,19 +179,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="t must be finite"):
             ModelSpec(kind="hsc", rates=HSC_RATES, t=t, init=(1, 0))
 
-    @pytest.mark.parametrize("field, value", [
-        ("rtol", math.nan), ("rtol", math.inf), ("rtol", -1e-10),
-        ("atol", math.nan), ("atol", math.inf), ("atol", -1e-10),
-        ("max_step", math.nan), ("max_step", 0.0), ("max_step", -1.0),
-    ])
-    def test_bad_ode_config_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            OdeConfig(**{field: value})
-
-    def test_rtol_floored_as_scipy_does(self):
-        assert OdeConfig(rtol=0.0).rtol == OdeConfig(rtol=1e-20).rtol == 100 * np.finfo(float).eps
-        assert OdeConfig(rtol=1e-13).rtol == 1e-13
-
 
 class TestConfigParsing:
     def test_round_trip(self):
@@ -228,11 +206,3 @@ class TestConfigParsing:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_config({"model": "nope", "rates": {}, "t": 1, "init": [1, 0]})
-
-
-def test_ode_config_tightness_is_respected():
-    # a much looser tolerance must still land close; a tight one very close
-    model = type1("hsc", HSC_RATES, 1.0)
-    loose = pgf(model, 0.3, 0.4, OdeConfig(rtol=1e-5, atol=1e-5))
-    tight = pgf(model, 0.3, 0.4)
-    assert abs(loose - tight) < 1e-4

@@ -1,8 +1,7 @@
-"""FISTA baseline: gradient correctness, exhaustive limit, solver agreement,
-and the sparse loop against the dense one."""
+"""FISTA baseline: gradient correctness, the exact step, exhaustive limit,
+solver agreement, and the sparse loop against the dense one."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from branchcs.grid import (
     invert_full,
     rel_l2_error,
     sample_indices,
+    sampled_ifft2,
 )
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.pgd import PgdConfig, pgd_recover
@@ -63,6 +63,31 @@ class TestGradient:
         g = fista_gradient(u_true, ms_all)
         assert np.max(np.abs(g)) < 1e-8
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.data())
+    def test_the_curvature_is_a_projection(self, n, seed, data):
+        # with A S = IFFT2(S)[J, J] the smooth term's Hessian is N^2 A^H A, made
+        # here as FISTA makes its gradient (N^2 A^H R = FFT2 of R on J x J).  It
+        # is an orthogonal projection, onto the FFT2s of J x J blocks, so its
+        # norm, the gradient's Lipschitz constant, is exactly L = 1 for every J:
+        # the fixed step 1/L is the exact one
+        j = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        sub = grid.Subgrid(n, j)
+        rng = np.random.default_rng(seed)
+
+        def curvature(s):
+            return fft2_rows(sampled_ifft2(s, j), sub)
+
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        p = curvature(s)
+        assert np.linalg.norm(curvature(p) - p) <= 1e-12 * np.linalg.norm(p)  # idempotent
+        assert np.linalg.norm(p) <= (1.0 + 1e-12) * np.linalg.norm(s)  # never lengthens
+        block = np.zeros((n, n), dtype=complex)
+        block[np.ix_(j, j)] = rng.normal(size=(len(j), len(j))) + 1j * rng.normal(
+            size=(len(j), len(j)))
+        f = np.fft.fft2(block)  # in the range: kept as it is
+        assert np.linalg.norm(curvature(f) - f) <= 1e-12 * np.linalg.norm(f)
+
 
 class TestPgdRecovery:
     def test_exhaustive_lambda_zero_is_exact(self):
@@ -98,10 +123,6 @@ class TestPgdRecovery:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PgdConfig(lam=1.0, l0=0.0)
-        with pytest.raises(ValueError):
-            PgdConfig(lam=1.0, c=1.0)
-        with pytest.raises(ValueError):
             PgdConfig(lam=1.0, max_iter=0)
         for lam in (-1.0, float("nan")):
             with pytest.raises(ValueError):
@@ -110,11 +131,10 @@ class TestPgdRecovery:
 
 
 def test_row_ffts_counts_the_rows_made(small_blocks, monkeypatch):
-    # the gradient rows the screen lets through and each candidate's row IFFTs;
-    # and two restricted transform sets per accepted iteration: the gradient's
-    # column FFTs once, a candidate's column IFFTs once per backtracking step
+    # the gradient rows the screen lets through and the candidate's row IFFTs;
+    # and exactly two restricted transform sets per iteration: the gradient's
+    # column FFTs and the candidate's column IFFTs, once each
     ms, _ = toy_measurements(32, 20, 3)
-    cfg = PgdConfig(lam=1.0, l0=0.05, max_iter=40)  # L doubles a few times from l0
     rows, calls = [], {"_fft2": 0, "_ifft2": 0}
     real_fft_rows, real_row_iffts = pgd.fft_rows, pgd._row_iffts
 
@@ -136,12 +156,11 @@ def test_row_ffts_counts_the_rows_made(small_blocks, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(pgd, name, counting)
-    report = pgd_recover(ms, cfg)
-    ls = [cfg.l0] + [rec.l_used for rec in report.history]
-    steps = [1 + round(math.log(b / a, cfg.c)) for a, b in zip(ls, ls[1:])]
-    assert sum(steps) > report.iterations  # some step backtracked
-    assert calls == {"_fft2": report.iterations, "_ifft2": sum(steps)}
-    assert report.row_ffts == sum(rows) < 32 * (report.iterations + sum(steps))
+    report = pgd_recover(ms, PgdConfig(lam=1.0, max_iter=40))
+    assert report.iterations > 1
+    assert calls == {"_fft2": report.iterations, "_ifft2": report.iterations}
+    assert [rec.l_used for rec in report.history] == [1.0] * report.iterations
+    assert report.row_ffts == sum(rows) < 32 * 2 * report.iterations
 
 
 class TestSparseLoop:
@@ -151,22 +170,20 @@ class TestSparseLoop:
     @pytest.fixture(scope="class")
     def cases(self, hsc_model, bds_model):
         """(name, measurements, config) at HSC N=64, BDS N=128, and HSC N=64 with
-        lambda = 0 (from L = 1, the exact curvature, where FISTA stops at k = 2,
-        and from L = 2, where it takes about 28 iterations) and with a lambda
-        above every row's bound (so no row is made); the preset lambda
-        otherwise, L0 = 1 unless named, and sampling seed 0."""
+        lambda = 0 (where the exact step lands on a least-squares solution and
+        FISTA stops at k = 2) and with a lambda above every row's bound (so no
+        row is made); the preset lambda otherwise, and sampling seed 0."""
         out = []
-        for name, model, n, lam, l0 in (("hsc-64", hsc_model, 64, None, 1.0),
-                                        ("bds-128", bds_model, 128, None, 1.0),
-                                        ("hsc-64-lambda-0", hsc_model, 64, 0.0, 1.0),
-                                        ("hsc-64-lambda-0-l0-2", hsc_model, 64, 0.0, 2.0),
-                                        ("hsc-64-lambda-1e6", hsc_model, 64, 1e6, 1.0)):
+        for name, model, n, lam in (("hsc-64", hsc_model, 64, None),
+                                    ("bds-128", bds_model, 128, None),
+                                    ("hsc-64-lambda-0", hsc_model, 64, 0.0),
+                                    ("hsc-64-lambda-1e6", hsc_model, 64, 1e6)):
             full = full_measurements(model, n)
             m = default_m(n, DEFAULT_SPARSITY_K)
             idx = sample_indices(n, m, 0)
             ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
             out.append((name, ms, PgdConfig(lam=pgd_lambda(model.kind, m) if lam is None else lam,
-                                            l0=l0, max_iter=500)))
+                                            max_iter=500)))
         return out
 
     def test_matches_the_dense_loop(self, cases, small_blocks):
@@ -178,8 +195,8 @@ class TestSparseLoop:
             report = pgd_recover(ms, cfg)
             assert (report.iterations, report.converged) == (len(iterates), converged), name
             norms = [1.0] + [max(np.linalg.norm(s), 1.0) for s in iterates]
-            for (k, rel, l_used), rec in zip(history, report.history):
-                assert (rec.k, rec.l_used) == (k, l_used), name
+            for (k, rel), rec in zip(history, report.history):
+                assert (rec.k, rec.l_used) == (k, 1.0), name
                 # rel_change is ||S_k - S_{k-1}|| / max(||S_{k-1}||, 1)
                 assert abs(rec.rel_change - rel) * norms[k - 1] <= 1e-12 * norms[k], (name, k)
             cutoffs = sorted({1, 2, 3, 5, 8, 13, 21, 34, 55, 89} & set(range(1, len(iterates))))
@@ -188,17 +205,6 @@ class TestSparseLoop:
                          else pgd_recover(ms, dataclasses.replace(cfg, max_iter=k))).s_hat
                 want = np.real(iterates[k - 1]) / ms.n**2
                 assert np.max(np.abs(s_hat - want)) <= 1e-12 * np.max(np.abs(want)), (name, k)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_an_exact_step_is_not_backtracked(self, hsc_model, hsc64_full, seed):
-        # N^2 A^H A is a projection, so L = 1 is the exact curvature; at lambda = 0
-        # quad cancels to rounding, and a slack below that rounding doubled L at
-        # k = 1 on seeds 0-2, depending on the last bits of B
-        m = default_m(64, DEFAULT_SPARSITY_K)
-        idx = sample_indices(64, m, seed)
-        ms = MeasurementSet(n=64, indices=idx, b=hsc64_full[np.ix_(idx, idx)], seed=seed)
-        report = pgd_recover(ms, PgdConfig(lam=0.0, l0=1.0, max_iter=50))
-        assert [rec.l_used for rec in report.history] == [1.0] * report.iterations
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
