@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import dataclasses
 import functools
@@ -73,7 +74,7 @@ def _write_matrix(path_stem: Path, arr, fmt: str) -> Path:
 
 
 def _write_table(path: Path, header: list[str], rows) -> Path:
-    with open(path, "w", newline="") as fh:
+    with matio.open_new(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -125,7 +126,7 @@ def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
         metrics["eps_rel_l2"] = rel_l2_error(report.s_hat, s_true)
         msg += f", eps_rel_l2={metrics['eps_rel_l2']:.4g}"
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+    _write_json(report_path, report.to_json_dict())
     fields = {
         "n": n,
         "m": m,
@@ -143,12 +144,19 @@ def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
 
 def _parse_grid(spec: str) -> list[float]:
     if ":" not in spec:
-        return [float(x) for x in spec.split(",")]
+        try:
+            return [float(x) for x in spec.split(",")]
+        except ValueError:
+            raise ValueError(f"--grid values must be numbers, got {spec!r}") from None
     parts = spec.split(":")
     scale = parts.pop() if len(parts) == 4 else "log"
     if len(parts) != 3 or scale not in ("log", "lin"):
         raise ValueError(f"--grid must be start:stop:num[:log|lin], got {spec!r}")
-    start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"--grid must be start:stop:num[:log|lin] with an integer num, "
+                         f"got {spec!r}") from None
     if num < 1:
         raise ValueError(f"--grid needs num >= 1, got {spec!r}")
     space = np.geomspace if scale == "log" else np.linspace
@@ -271,7 +279,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: Path, obj) -> None:
+    with matio.open_new(path) as fh:
+        fh.write(json.dumps(obj, indent=2, default=str) + "\n")
+
+
+# glibc's mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _tune_allocator() -> None:
+    """Keep grid-sized blocks on glibc's heap, once per process; a no-op without mallopt.
+
+    glibc mmaps a block at or above its dynamic threshold, which rises only to
+    the largest mmapped block freed so far, so each op's grid of that same size
+    was mmapped and faulted in afresh, page by page.  32 MiB, glibc's 64-bit
+    maximum, covers the complex grids up to N = 1024; setting it by hand leaves
+    the trim threshold at 128 KiB, so that is raised as well.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _tune_allocator()
     args = build_parser().parse_args(argv)
     try:
         if args.threads < 1:
@@ -285,7 +323,7 @@ def main(argv=None) -> int:
         manifest = {"command": args.command, "config": cfg, **fields,
                     "tool_version": __version__,
                     "timestamp": datetime.now(timezone.utc).isoformat()}
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+        _write_json(out_dir / "manifest.json", manifest)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         # before BranchCSError: MTooLarge is both, and it is a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -76,12 +76,14 @@ def full_measurements(model: ModelSpec, n: int) -> np.ndarray:
     """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
 
     Columns 0..N/2 are computed, in place; column v above N/2 is conj of
-    column N - v with its rows reflected (the coefficients are real).
+    column N - v with its rows reflected, u to (N - u) mod N (the coefficients
+    are real): row 0 and rows 1..N-1 are each one reversed-slice copy.
     """
     half = n // 2 + 1
     b = np.empty((n, n), dtype=complex)
     _pgf_block(model, n, np.arange(n), np.arange(half), out=b[:, :half])
-    np.conj(b[(n - np.arange(n)[:, None]) % n, n - np.arange(half, n)], out=b[:, half:])
+    np.conj(b[0, half - 2:0:-1], out=b[0, half:])
+    np.conj(b[:0:-1, half - 2:0:-1], out=b[1:, half:])
     return b
 
 

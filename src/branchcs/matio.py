@@ -16,7 +16,22 @@ MAGIC = b"BPM1"
 FLAG_COMPLEX = 0x1
 CSV_MAX_SIDE = 256
 
-__all__ = ["write_matrix", "read_matrix", "write_csv"]
+__all__ = ["open_new", "write_matrix", "read_matrix", "write_csv"]
+
+
+def open_new(path, mode: str = "w", **kwargs):
+    """Open path for writing as a new file: any file already there is removed first.
+
+    ext4 (auto_da_alloc) starts writeback when a file truncated to zero is
+    closed, and when a file is renamed over another, so rewriting an output in
+    either way sends it to disk on every run; a new file is written back at
+    the kernel's own pace.  A crash leaves no file or a short new one, never
+    old and new data mixed at a valid length.  mode is "w" or "wb"; kwargs go
+    to open.
+    """
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    return open(path, mode.replace("w", "x"), **kwargs)
 
 
 def write_matrix(path, arr: np.ndarray) -> None:
@@ -26,7 +41,7 @@ def write_matrix(path, arr: np.ndarray) -> None:
     flags = FLAG_COMPLEX if np.iscomplexobj(arr) else 0
     # the array's own buffer when it is C-ordered <c16 / <f8 already, else one copy
     body = np.ascontiguousarray(arr, dtype="<c16" if flags & FLAG_COMPLEX else "<f8")
-    with open(path, "wb") as fh:
+    with open_new(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<III", arr.shape[0], arr.shape[1], flags))
         fh.write(body.data)
 
@@ -48,10 +63,10 @@ def write_csv(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if max(arr.shape) > CSV_MAX_SIDE:
         raise ValueError(f"CSV export limited to {CSV_MAX_SIDE}x{CSV_MAX_SIDE}")
-    if np.iscomplexobj(arr):
-        with open(path, "w") as fh:
+    with open_new(path) as fh:
+        if np.iscomplexobj(arr):
             for row in arr:
                 fh.write(",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
                 fh.write("\n")
-    else:
-        np.savetxt(path, arr, delimiter=",", fmt="%.17g")
+        else:
+            np.savetxt(fh, arr, delimiter=",", fmt="%.17g")

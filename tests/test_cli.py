@@ -1,5 +1,6 @@
 """CLI behavior: determinism, artifacts, manifests, exit codes."""
 
+import ctypes
 import json
 import os
 import re
@@ -231,6 +232,37 @@ def test_one_process_runs_commands_in_turn(tmp_path, hsc_config):
             == (tmp_path / "b" / "S_full.bpm").read_bytes())
 
 
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_repeated_solves_fault_in_no_new_pages(tmp_path):
+    # each op's grid-sized blocks come back from the heap: without the
+    # allocator thresholds glibc mmapped them afresh, about 1500 faults an op.
+    # A fresh process, as larger blocks freed by other tests raise the threshold.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HSC_CONFIG))
+    argv = ["solve", "--config", str(cfg), "--out-dir", str(tmp_path), "--n", "512"]
+    code = "\n".join([
+        "import resource, branchcs.cli",
+        "faults = []",
+        "for _ in range(4):",
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        f"    assert branchcs.cli.main({argv!r}) == 0",
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        "print(faults)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    faults = json.loads(out.stdout.splitlines()[-1])
+    assert max(faults[1:]) <= 64, f"minor faults per op: {faults}"
+
+
 class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "missing.json"),
@@ -323,13 +355,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, name", [
         (["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:0"], "--grid"),
+        (["sweep", "--n", "16", "--param", "beta", "--grid", ","], "--grid"),
+        (["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:x"], "--grid"),
+        (["sweep", "--n", "16", "--param", "beta", "--grid", "a,b"], "--grid"),
         (["oracle", "--n-trunc", "0"], "n_trunc"),
         (["oracle", "--n-trunc", "-3"], "n_trunc"),
-    ], ids=["grid-num-0", "n-trunc-0", "n-trunc-negative"])
+    ], ids=["grid-num-0", "grid-empty-values", "grid-num-not-an-integer", "grid-not-numbers",
+            "n-trunc-0", "n-trunc-negative"])
     def test_a_count_below_one_is_a_usage_error_naming_it(self, hsc_config, tmp_path, capsys,
                                                           argv, name):
-        # a sweep over no points wrote an empty CSV and exited 0, and the oracle's
-        # errors for a box of no states named neither it nor its flag
+        # a sweep over no points wrote an empty CSV and exited 0, a --grid that
+        # float() or int() could not read was reported in their words, and the
+        # oracle's errors for a box of no states named neither it nor its flag
         out = tmp_path / "out"
         assert main(argv + ["--config", hsc_config, "--out-dir", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err

@@ -46,7 +46,8 @@ class TestFullGrid:
 
     @pytest.mark.parametrize("kind, n, init", [
         *((kind, 64, init) for kind in ("hsc", "bds") for init in ((1, 0), (0, 1), (2, 3))),
-        ("hsc", 512, (1, 0))])
+        ("hsc", 512, (1, 0)),
+        *((kind, n, (2, 3)) for kind in ("hsc", "bds") for n in (2, 4))])
     def test_grid_keeps_the_out_of_place_bits(self, hsc_model, bds_model, kind, n, init):
         model = dataclasses.replace(hsc_model if kind == "hsc" else bds_model, init=init)
         assert full_measurements(model, n).tobytes() == out_of_place_grid(model, n).tobytes()

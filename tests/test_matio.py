@@ -80,6 +80,26 @@ class TestBinaryFormat:
         assert peak < arr.nbytes // 8
 
 
+# one output path rewritten in turn: larger, smaller, then complex to real
+_REWRITES = [np.arange(36.0).reshape(6, 6) * (1 + 1j), np.eye(2) * (3 - 2j),
+             np.full((3, 5), 0.25)]
+
+
+@pytest.mark.parametrize("write, suffix", [(write_matrix, ".bpm"), (write_csv, ".csv")],
+                         ids=["binary", "csv"])
+def test_a_rewrite_holds_exactly_the_new_bytes(tmp_path, write, suffix):
+    path = tmp_path / f"m{suffix}"
+    path.write_bytes(b"x" * 4096)  # an older, longer file
+    for i, arr in enumerate(_REWRITES):
+        write(path, arr)
+        fresh = tmp_path / f"fresh{i}{suffix}"
+        write(fresh, arr)
+        assert path.read_bytes() == fresh.read_bytes()
+        if suffix == ".bpm":
+            assert np.array_equal(read_matrix(path), arr)
+            assert path.stat().st_size == 16 + arr.size * (16 if np.iscomplexobj(arr) else 8)
+
+
 class TestCsv:
     def test_real_round_trip(self, tmp_path):
         arr = np.arange(12, dtype=float).reshape(3, 4) / 7
