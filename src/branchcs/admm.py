@@ -15,15 +15,22 @@ the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
 N = 512) with Z, D and F there.
 
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
-so max_v |F_k[u, v]| is at most their L1 norm, and a row whose norm is at most
-lambda / beta holds no entry the prox keeps unless t is in it: a safe screen
-(El Ghaoui et al. 2012).  A sweep does the M column IFFTs of D_k's row IFFTs,
-forms C_k and does the M column FFTs; then, in two phases:
-  1. the rows of F_k that pass the screen or hold t are made a row block's
-     worth at a time and thresholded at lambda / beta;
-  2. once, over all of p = t and the entries found, the prox, the sums of
-     squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1} and the row
-     IFFTs of the rows where D_{k+1} is nonzero.
+so max_v |F_k[u, v]| is at most their L1 norm, and a row whose bound is at
+most lambda / beta holds no entry off t the prox keeps: a safe screen (El
+Ghaoui et al. 2012).  Where rows take direct sums (below), from N = 256 up at
+the default M, a run carries the bound on to the next sweep (Bonnefoy et al.
+2015): exact on the rows made, else the least of the L1 norm and the last bound
+plus the L1 norm of the row's change, raised to |F_k| where an entry leaves t.
+Only the support decides how a row of t is worked: a row that holds few entries
+takes direct sums over them, from an N x M twiddle table made once per run (F_k
+at them, and D_{k+1}'s row IFFT), and one that holds more is made by
+transforms; so the screen changes no bit.  A sweep does the M column IFFTs of
+D_k's row IFFTs, forms C_k and does the M column FFTs; then, in two phases:
+  1. the rows of F_k whose bound can cross the threshold, and t's dense rows,
+     are made a row block's worth at a time and thresholded at lambda / beta;
+  2. once, over all of p = t and the entries found, F_k at t's other rows,
+     the prox, the sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p),
+     D_{k+1} and the row IFFTs of the rows where D_{k+1} is nonzero.
 A run of rows made is kept in its F grid; a row made in a buffer is not, and
 where an entry found at sweep k + 1 lies in a row F_k does not hold, that row
 is made then from the kept column transforms, with the same bits.  U is
@@ -38,13 +45,15 @@ import dataclasses
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (MeasurementSet, Subgrid, _groups, _is_run, _places, _row_iffts, _screen,
-                   column_fft, column_ifft, fft_rows, rel_l2_error, sampled_ifft2)
+from .grid import (_MARGIN, MeasurementSet, Subgrid, _fft_points, _groups, _is_run, _places,
+                   _point_iffts, _row_iffts, column_fft, column_ifft, fft_rows, rel_l2_error,
+                   sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -55,6 +64,13 @@ __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mh
 # IFFT2(D), whose row half ran at the end of the last sweep
 _fft2 = column_fft
 _ifft2 = column_ifft
+
+# Direct sums over a row's support entries cost M operations an entry each way,
+# and the row's transforms about N log2 N.  A row takes them when it holds at
+# most N log2 N / (_DIRECT_COST M) entries: at the default M none does at
+# N <= 128, where a sweep costs its numpy calls more than its rows, and a run
+# that takes no direct sums carries no bound either, for the same reason.
+_DIRECT_COST = 16
 
 _NONE = np.empty(0, dtype=np.intp)
 _EMPTY = (np.empty(0, dtype=complex),) * 3
@@ -110,12 +126,18 @@ class AdmmState:
 class _SweepConstants:
     """What every sweep of a run shares: beta, the Subgrid of J (sorted) and
     B / (beta + 1) on J x J; source is the (embedded_b, mhat) of iterate's
-    inputs they came from, if any."""
+    inputs they came from, if any; and direct_max, the most support entries a
+    row may hold and take direct sums rather than transforms (_DIRECT_COST)."""
 
     beta: float
     sub: Subgrid
     b_j: np.ndarray
     source: tuple = ()
+
+    @cached_property
+    def direct_max(self) -> int:
+        n = self.sub.n
+        return int(n * math.log2(n)) // (_DIRECT_COST * max(len(self.sub.j), 1))
 
     @classmethod
     def of_measurements(cls, ms: MeasurementSet, beta: float) -> _SweepConstants:
@@ -141,19 +163,44 @@ class _SweepConstants:
 
 
 class _Support(NamedTuple):
-    """Sorted flat grid indices, their rows, and there the values of Z, D and
-    the F grid of the sweep that made them."""
+    """Sorted flat grid indices, their rows, and there the values of Z, D and the
+    F grid of the sweep that made them; dense, per row, whether it holds more
+    than direct_max of the indices, so that its transforms are made; and direct,
+    the places of the indices in the other rows, with their rows and columns,
+    where direct sums stand in for the transforms."""
 
     idx: np.ndarray
     row: np.ndarray
     z: np.ndarray
     d: np.ndarray
     f: np.ndarray
+    dense: np.ndarray
+    direct: np.ndarray = _NONE
+    direct_row: np.ndarray = _NONE
+    direct_col: np.ndarray = _NONE
 
     @classmethod
-    def of(cls, n: int, idx: np.ndarray, z: np.ndarray, d: np.ndarray,
+    def of(cls, const: _SweepConstants, idx: np.ndarray, z: np.ndarray, d: np.ndarray,
            f: np.ndarray) -> _Support:
-        return cls(idx, idx // n, z, d, f)
+        n = const.sub.n
+        row = idx // n
+        dense = np.bincount(row, minlength=n) > const.direct_max  # a sweep's one count
+        direct = np.logical_not(dense.take(row)).nonzero()[0] if const.direct_max else _NONE
+        if not len(direct):
+            return cls(idx, row, z, d, f, dense)
+        at, at_row = idx.take(direct), row.take(direct)
+        return cls(idx, row, z, d, f, dense, direct, at_row, at - at_row * n)
+
+    def iffts(self, sub: Subgrid, scratch: _RowBlocks, g: np.ndarray) -> None:
+        """D's row IFFTs gathered at columns J into g (M x N): transforms of the
+        dense rows, direct sums at the other entries."""
+        if len(self.direct) < len(self.idx):  # _row_iffts zeroes the other rows
+            on = self.dense.take(self.row) if len(self.direct) else slice(None)
+            _row_iffts(self.idx[on], self.row[on], self.d[on], sub, scratch.u, g)
+        else:
+            g.fill(0)
+        if len(self.direct):
+            _point_iffts(self.direct_row, self.direct_col, self.d.take(self.direct), sub, g)
 
 
 class _FGrid:
@@ -187,7 +234,9 @@ class _SweepForm:
     state); z, where Z_k or Z_{k-1} is not 0, with Z_k, D_{k+1} and F_k there,
     and z_prev, the z of sweep k - 1, whose d is D_k; g, D_{k+1}'s row IFFTs
     gathered at columns J, as an M x N array; k; row_ffts, the rows of F grids
-    made so far; and the (z, y) made of it."""
+    made so far; bound, per row u at least max |F_k[u, v]| over v off z (None
+    for a dense state, and in runs that take no direct sums); and the (z, y)
+    made of it."""
 
     c: np.ndarray
     f: _FGrid
@@ -198,6 +247,7 @@ class _SweepForm:
     g: np.ndarray
     k: int
     row_ffts: int = 0
+    bound: np.ndarray | None = None
     dense: tuple = (None, None)
 
     @classmethod
@@ -211,13 +261,13 @@ class _SweepForm:
         z = np.ravel(state.z)
         support = np.flatnonzero(z)
         values = z[support].astype(complex)
-        z = _Support.of(sub.n, support, values, values + values,  # D_{k+1} = 2 Z_k
+        z = _Support.of(const, support, values, values + values,  # D_{k+1} = 2 Z_k
                         f.reshape(-1)[support])
-        _row_iffts(z.idx, z.row, z.d, sub, scratch.u, g)
+        z.iffts(sub, scratch, g)
         c = sampled_ifft2(f, sub)
         return cls(c, _FGrid(f, None, np.ones(sub.n, dtype=bool)), None,
                    _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
-                   _Support.of(sub.n, _NONE, *_EMPTY), g, state.k)
+                   _Support.of(const, _NONE, *_EMPTY), g, state.k)
 
     def u(self, sub: Subgrid, scratch: _RowBlocks, out: np.ndarray) -> tuple[np.ndarray, int]:
         """U_k = F_k - F_{k-1} + D_k into out (it may be F_{k-1}'s), once every row
@@ -261,11 +311,11 @@ class SolveReport:
     def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float,
                      stop_reason: str, row_ffts: int):
         """Report on the final Fourier-domain iterate u: s_hat = real(u)/N^2, timed from start."""
-        wall, n2 = time.perf_counter() - start, u.shape[0] ** 2
+        wall, n2, im = time.perf_counter() - start, u.shape[0] ** 2, np.imag(u)
         return cls(s_hat=np.real(u) / n2, history=history, iterations=len(history),
                    converged=converged, wall_time=wall,
-                   max_imag=float(np.max(np.abs(np.imag(u)))) / n2, stop_reason=stop_reason,
-                   row_ffts=row_ffts)
+                   max_imag=max(float(im.max()), -float(im.min())) / n2,  # no |Im U| grid
+                   stop_reason=stop_reason, row_ffts=row_ffts)
 
     def to_json_dict(self) -> dict:
         """Scalars and residual history (the matrix is written separately); s_hat's
@@ -333,6 +383,30 @@ def _sum_squares(a: np.ndarray) -> float:
     return _real_inner(a, a)
 
 
+def _made_rows(bound: np.ndarray, tau: float) -> np.ndarray:
+    """The rows of F_k a sweep makes to look for entries above tau off t: those
+    whose bound is above tau (1 - margin), which covers the rounding of the FFT
+    and of the bound, or is not finite, so that what such a row holds is seen."""
+    return ~(bound <= tau * (1.0 - _MARGIN))
+
+
+def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
+    """Per row u, a bound on max_v |F_k[u, v]| over the v off t.  Row u of F_k is
+    the DFT of cols[u], so its L1 norm bounds the row (El Ghaoui et al. 2012).
+    Where that is above tau and s carries a bound on F_{k-1}'s row off t, the
+    carried bound plus the L1 norm of cols[u] - cols_{k-1}[u], which bounds
+    the row of F_k - F_{k-1}, is taken if it is less (Bonnefoy et al. 2015)."""
+    bound = np.add.reduce(np.abs(cols), axis=1)
+    if s.bound is None:
+        return bound
+    above = _made_rows(bound, tau).nonzero()[0]
+    if len(above):
+        step = np.subtract(cols.take(above, 0), s.f.cols.take(above, 0))
+        carried = np.add.reduce(np.abs(step), axis=1) + s.bound.take(above)
+        bound[above] = np.minimum(bound.take(above), carried)
+    return bound
+
+
 def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _RowBlocks,
            f_out: np.ndarray, g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
     """Sweep k = s.k + 1: the new form, its residual record, and what
@@ -342,12 +416,18 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     row block's worth at a time, and phase 2 does the support work once."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
     n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
+    carry = const.direct_max > 0  # the bound goes on to the next sweep
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
     c = const.b_j - (_ifft2(s.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
     cols = _fft2(c, sub)
-    # Phase 1: the rows of F_k that can hold an entry above tau, and the rows of t
-    need = _screen(cols, tau)
-    need[t.row] = True
+    # Phase 1: the rows of F_k whose bound can cross tau, and t's dense rows
+    bound = _bound(cols, s, tau)
+    need = _made_rows(bound, tau)
+    need |= t.dense
+    on_idx, on_row = t.idx, t.row  # t's entries in the rows made
+    if len(t.direct):
+        on = need.take(t.row).nonzero()[0]
+        on_idx, on_row = t.idx.take(on), t.row.take(on)
     held = np.zeros(n, dtype=bool)  # the rows made in place, in f_out
 
     def grid_work(rows):  # a group of the rows of F_k, and where |V| > tau off t in them
@@ -357,12 +437,16 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
             held[first:last] = True
         v = fft_rows(cols[first:last] if run else cols[rows], sub,
                      f_out[first:last] if run else scratch.u[:len(rows)])
-        lo, hi = t.row.searchsorted((first, last))
-        on_t = _places(rows, t.idx[lo:hi], t.row[lo:hi], n)  # t's places in v
+        lo, hi = on_row.searchsorted((first, last))
+        on_t = _places(rows, on_idx[lo:hi], on_row[lo:hi], n)  # t's places in v
         # V = F_k + Z_{k-1} = F_k off t
-        re = np.abs(v, out=scratch.re[:len(rows)]).reshape(-1)
-        re[on_t] = 0
-        hit = np.greater(re, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
+        re = np.abs(v, out=scratch.re[:len(rows)])
+        flat = re.reshape(-1)
+        flat[on_t] = 0
+        hit = np.greater(flat, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
+        if carry:  # exact off t and what is found, which joins it
+            flat[hit] = 0
+            bound[rows] = np.maximum.reduce(re, axis=1)
         if run:
             found = hit + first * n
         else:
@@ -379,7 +463,14 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     e, d, dz, d_next, x1, a, w, f = on_p
     x1[:m], d[:m] = t.z, t.d  # Z_{k-1} and D_k at p
     x1[m:], d[m:] = 0, 0
-    np.concatenate([_EMPTY[0]] + [part[1] for part in parts] + [part[2] for part in parts], out=f)
+    # F_k on t: direct sums in the rows that hold few of t, else the rows made
+    if len(t.direct):
+        np.concatenate([_EMPTY[0]] + [part[2] for part in parts], out=f[m:])
+        f[:m][on] = np.concatenate([_EMPTY[0]] + [part[1] for part in parts])
+        f[:m][t.direct] = _fft_points(cols, t.direct_row, t.direct_col, sub)
+    else:
+        np.concatenate([_EMPTY[0]] + [part[1] for part in parts] + [part[2] for part in parts],
+                       out=f)
     np.concatenate((t.f, s.f.grid.reshape(-1).take(p[m:])), out=a)
     np.subtract(f, a, out=a)  # A = F_k - F_{k-1}
 
@@ -394,11 +485,15 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     np.subtract(dz, np.add(f, f, out=w), out=w)
     rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
     np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
-    kept = np.logical_or(z != 0, dz != 0).nonzero()[0]  # where Z_k or Z_{k-1} is not 0
+    keep = np.logical_or(z != 0, dz != 0)  # where Z_k or Z_{k-1} is not 0
+    kept = keep.nonzero()[0]
+    if carry and len(kept) < len(p):  # the bound rises to |F_k| where p leaves t
+        gone = np.logical_not(keep, out=keep).nonzero()[0]
+        np.maximum.at(bound, p.take(gone) // n, np.abs(f.take(gone)))
     if len(p) > m:  # t's and found's kept entries: two sorted runs to merge
         kept = kept[np.argsort(p[kept], kind="stable")]
-    new = _Support.of(n, p[kept], z[kept], d_next[kept], f[kept])
-    _row_iffts(new.idx, new.row, new.d, sub, scratch.u, g_out)
+    new = _Support.of(const, p[kept], z[kept], d_next[kept], f[kept])
+    new.iffts(sub, scratch, g_out)
     dd, zz = _sum_squares(dz), _sum_squares(z)
     n2 = float(n * n)
     delta_c = c - s.c
@@ -416,8 +511,8 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
     row_ffts = s.row_ffts + int(np.count_nonzero(need)) + lazy
-    return (_SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts), rec,
-            (delta_c, uu, ud))
+    return (_SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts,
+                       bound if carry else None), rec, (delta_c, uu, ud))
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
@@ -506,8 +601,8 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     history: list[ResidualRecord] = []
     converged, reason, made = False, "max_iter", 0  # made: rows made to write a U
     # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
-    spare = zeros = np.zeros((ms.n, ms.n), dtype=complex)
-    s = _SweepForm.of(AdmmState(u=zeros, z=zeros, y=zeros), const, scratch)
+    spare = np.zeros((ms.n, ms.n), dtype=complex)
+    s = _SweepForm.of(AdmmState(u=spare, z=spare, y=spare), const, scratch)
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
         s, rec, sums = _sweep(s, const, cfg, scratch, spare, s.g)
@@ -528,4 +623,6 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
                 reason = "error_target"
                 break
     u, rows = s.u(const.sub, scratch, spare)  # over F_{k-1}
-    return SolveReport.from_iterate(u, history, converged, start, reason, s.row_ffts + made + rows)
+    made += s.row_ffts + rows
+    del s  # and F_k's grid with it: U is the one grid left when s_hat is made
+    return SolveReport.from_iterate(u, history, converged, start, reason, made)

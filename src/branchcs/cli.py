@@ -48,6 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _m_or_default(args) -> int:
+    """--m or the default M for --n, once --seed, which the sampling commands
+    read next, is checked: numpy's error for a negative one names no flag."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return args.m if args.m is not None else default_m(args.n, DEFAULT_SPARSITY_K)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +131,14 @@ class Subgrid:
         """indices itself if it is a Subgrid, else the Subgrid of it in an n x n grid."""
         return indices if isinstance(indices, cls) else cls(n, indices)
 
+    @cached_property
+    def twiddles(self) -> np.ndarray:
+        """The n x M table e^{-2 pi i v j / n}, row v and column j in J, made once
+        per Subgrid: entry (u, v) of FFT2 of a block on J x J is row u of its
+        column transforms times row v of the table, summed."""
+        w = np.exp(np.arange(self.n) * (-2j * np.pi / self.n))
+        return w[np.multiply.outer(np.arange(self.n), self.j) % self.n]
+
 
 def sampled_ifft2(x, indices=None) -> np.ndarray:
     """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None.
@@ -170,6 +179,13 @@ def fft_rows(cols: np.ndarray, sub: Subgrid, out: np.ndarray) -> np.ndarray:
     out.fill(0)
     out.reshape(-1)[sub.flat[:len(out)]] = cols  # scatter into columns J
     return np.fft.fft(out, axis=1, out=out)
+
+
+def _fft_points(cols: np.ndarray, row: np.ndarray, col: np.ndarray, sub: Subgrid) -> np.ndarray:
+    """Entries (row, col) of the FFT2 whose column transforms are cols, each a
+    direct sum over J: what fft_rows makes them in, to rounding, for M
+    operations an entry in place of a transform of the row."""
+    return np.einsum("pm,pm->p", cols.take(row, 0), sub.twiddles.take(col, 0))
 
 
 # a row of FFT2 whose L1 bound is at most tau (1 - _MARGIN) is not made
@@ -224,6 +240,27 @@ def _row_iffts(idx: np.ndarray, row: np.ndarray, values: np.ndarray, sub: Subgri
         else:  # by flat indices: an index array on g's second axis is much slower
             g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
     return sum(map(len, groups))
+
+
+def _point_iffts(row: np.ndarray, col: np.ndarray, values: np.ndarray, sub: Subgrid,
+                 g: np.ndarray) -> None:
+    """What _row_iffts writes into g for the rows that hold the entries values at
+    (row, col), sorted by row then column, by direct sums over them: row u of g's
+    transpose is sum_v values (u, v) e^{2 pi i v J / n} / n.  The other columns of
+    g are left as they are."""
+    terms = sub.twiddles.take(-col, 0)  # e^{+2 pi i v J / n}, the table's row n - v
+    terms *= (values * (1.0 / sub.n))[:, None]
+    later = (row[1:] == row[:-1]).nonzero()[0] + 1  # not the first entry of its row
+    if len(later):
+        first = np.arange(len(row))
+        first[later] = 0
+        head = np.maximum.accumulate(first).take(later)  # their rows' first entries
+        rank = later - head
+        for k in range(1, int(rank.max()) + 1):  # each row's k-th entry onto its first
+            at = rank == k
+            terms[head[at]] += terms.take(later[at], 0)
+        row, terms = np.delete(row, later), np.delete(terms, later, axis=0)
+    g.T[row] = terms
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

@@ -1,6 +1,8 @@
 """ADMM solver: worked example, prox, dense-oracle equivalence, convergence."""
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,9 +394,15 @@ class TestSparseSweep:
         assert np.array_equal(u_update(state, emb, mhat, cfg.beta), nxt.u)
 
 
+def every_row_made(bound, tau):
+    """admm._made_rows for a sweep that makes every row of F_k."""
+    return np.ones(len(bound), dtype=bool)
+
+
 class TestScreen:
-    """A sweep makes only the rows of F_k whose L1 bound can cross lambda / beta
-    or that hold Z's support; it must give what making every row gives."""
+    """A sweep makes only the rows of F_k whose bound can cross lambda / beta or
+    that hold many of Z's support entries; it must give what making every row
+    gives."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3),
@@ -410,7 +418,7 @@ class TestScreen:
         l1 = np.abs(cols).sum(axis=1)
         for rows, edge in ((slice(0, None, 2), tau), (slice(1, None, 2), tau * (1 - 1e-9))):
             cols[rows] *= (edge * (1.0 + 1e-12 * nudge) / l1[rows])[:, None]
-        made = admm._screen(cols, tau)
+        made = grid._screen(cols, tau)
         assert made[np.abs(cols).sum(axis=1) > tau].all()
         skipped = np.flatnonzero(~made)
         for rows in np.array_split(skipped, max(1, -(-len(skipped) // len(sub.flat)))):
@@ -448,14 +456,17 @@ class TestScreen:
         return out + [(s_hat, len(history), converged, history)]
 
     def test_screened_sweeps_equal_sweeps_of_every_row(self, cases, small_blocks, monkeypatch):
-        for name, ms, cfg, truth in cases:
+        # _made_rows picks the rows a sweep makes; with a direct-sum cost of 1 these
+        # sizes carry the bound and take direct sums at rows that hold few entries
+        for cost, (name, ms, cfg, truth) in itertools.product((admm._DIRECT_COST, 1), cases):
+            monkeypatch.setattr(admm, "_DIRECT_COST", cost)
             screened = self.runs(ms, cfg, truth)
             with monkeypatch.context() as every_row:
-                every_row.setattr(admm, "_screen", lambda cols, tau: np.ones(len(cols), bool))
+                every_row.setattr(admm, "_made_rows", every_row_made)
                 unscreened = self.runs(ms, cfg, truth)
             for a, b in zip(screened, unscreened):
-                assert np.array_equal(a[0], b[0]), name
-                assert a[1:] == b[1:], name
+                assert np.array_equal(a[0], b[0]), (name, cost)
+                assert a[1:] == b[1:], (name, cost)
 
     def test_rows_of_the_previous_grid_are_made_when_found(self, small_blocks, monkeypatch):
         # at N=32 a row block is 3 rows, so some rows of F_{k-1} were made in a
@@ -472,14 +483,18 @@ class TestScreen:
             return count
 
         monkeypatch.setattr(admm._FGrid, "fill", counting_fill)
-        report = recover(ms, cfg)
-        assert sum(made) > 0
-        monkeypatch.setattr(admm, "_screen", lambda cols, tau: np.ones(len(cols), bool))
-        made.clear()
-        every_row = recover(ms, cfg)
-        assert sum(made) == 0
-        assert np.array_equal(report.s_hat, every_row.s_hat)
-        assert report.history == every_row.history
+        for cost in (admm._DIRECT_COST, 1):  # with a carried bound and direct sums at 1
+            monkeypatch.setattr(admm, "_DIRECT_COST", cost)
+            made.clear()
+            report = recover(ms, cfg)
+            assert sum(made) > 0, cost
+            with monkeypatch.context() as every_row:
+                every_row.setattr(admm, "_made_rows", every_row_made)
+                made.clear()
+                every = recover(ms, cfg)
+            assert sum(made) == 0, cost
+            assert np.array_equal(report.s_hat, every.s_hat), cost
+            assert report.history == every.history, cost
 
     @pytest.mark.parametrize("s_true", [False, True])
     def test_row_ffts_counts_every_row_made(self, small_blocks, monkeypatch, s_true):
@@ -505,6 +520,68 @@ class TestScreen:
         report = recover(ms, admm_defaults("hsc", n, m))
         assert report.converged
         assert report.row_ffts < 0.3 * report.iterations * n
+
+
+class TestCarriedBound:
+    """From sweep to sweep a run carries, per row u of F_k, a bound on
+    max |F_k[u, v]| off Z's support; a row is made only when its bound can
+    cross lambda / beta, so the bound must hold at every sweep."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1.0), st.floats(0.01, 1.0))
+    def test_the_bound_holds_at_every_sweep(self, n, seed, lam_frac, beta):
+        rng = np.random.default_rng(seed)
+        j = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        truth = rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.2)
+        b = n**2 * grid.sampled_ifft2(truth + 0.05 * rng.normal(size=(n, n)), j)
+        cfg = AdmmConfig(beta=beta, lam=lam_frac * beta * n, max_iter=25,
+                         eps_abs=0.0, eps_rel=0.0)
+        checked, sweep = [], admm._sweep
+
+        def checking(s, const, *args):
+            new, rec, sums = sweep(s, const, *args)
+            c = np.zeros((n, n), dtype=complex)
+            c[np.ix_(const.sub.j, const.sub.j)] = new.c
+            f = np.abs(np.fft.fft2(c))
+            slack = 1e-12 * f.max()  # the transforms' rounding
+            f.reshape(-1)[new.z.idx] = 0  # off the support the next sweep reads
+            assert (f.max(axis=1) <= new.bound + slack).all(), new.k
+            checked.append(new.k)
+            return new, rec, sums
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(admm, "_DIRECT_COST", 1)  # so the bound is carried at these sizes
+            mp.setattr(admm, "_sweep", checking)
+            recover(MeasurementSet(n=n, indices=j, b=b), cfg)
+        assert checked and checked == list(range(1, len(checked) + 1))  # it may converge
+
+
+def test_u_is_the_one_grid_left_when_s_hat_is_made(hsc_model, monkeypatch):
+    # the last F grid is dropped before the report, whose max |Im U| makes no grid
+    n = 256
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    ms = sampled_measurements(hsc_model, n, sample_indices(n, m, 0), seed=0)
+    seen, report = [], admm.SolveReport.from_iterate.__func__
+
+    def traced(cls, u, *args):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = report(cls, u, *args)
+        seen.append((held, tracemalloc.get_traced_memory()[1] - held))
+        return out
+
+    monkeypatch.setattr(admm.SolveReport, "from_iterate", classmethod(traced))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recover(ms, admm_defaults("hsc", n, m))
+    finally:
+        tracemalloc.stop()
+    (held, made), = seen
+    grid_bytes = 16 * n * n
+    assert held - before < 3 * grid_bytes  # U, and buffers of under two grids
+    assert made < 0.6 * grid_bytes  # s_hat, a real grid
 
 
 def error_pairs(ms, cfg, truth, monkeypatch):

@@ -346,6 +346,20 @@ class TestExitCodes:
         assert main(argv + ["--config", hsc_config, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [["recover"], ["sweep", "--param", "beta", "--grid", "1"]],
+                             ids=["recover", "sweep"])
+    def test_a_negative_seed_is_a_usage_error_naming_it(self, hsc_config, tmp_path, monkeypatch,
+                                                        capsys, command):
+        # numpy's sampler raised "expected non-negative integer", which names no flag
+        def no_work(*args, **kwargs):
+            raise AssertionError("PGF values computed before --seed was checked")
+
+        monkeypatch.setattr(cli, "full_measurements", no_work)
+        monkeypatch.setattr(cli, "sampled_measurements", no_work)
+        assert main(command + ["--n", "16", "--seed", "-1", "--config", hsc_config,
+                               "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1.5", "inf"])
     def test_bad_oracle_tol_is_usage_error(self, hsc_config, tmp_path, capsys, tol):
         assert main(["oracle", "--config", hsc_config, "--out-dir", str(tmp_path),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from branchcs import grid
 from branchcs.errors import MTooLarge, NonSquareGrid
 from branchcs.grid import (
     MeasurementSet,
@@ -272,6 +273,38 @@ class TestRestrictedTransforms:
         for rows in ([5], [0, 1, 2], [3, 10, 31], [30, 31]):  # at most a row block's worth
             out = np.empty((len(rows), n), dtype=complex)
             assert np.array_equal(fft_rows(cols[rows], sub, out), want_fft[rows])
+
+
+class TestPointSums:
+    """The direct sums at support entries stand in for row transforms: F at the
+    entries, from the column transforms, and the row IFFTs of the rows that
+    hold them, gathered at columns J."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_direct_sums_match_the_row_transforms(self, log_n, seed, density):
+        n = 1 << log_n  # 2 to 64
+        rng = np.random.default_rng(seed)
+        sub = Subgrid(n, np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)))
+        m, h = len(sub.j), len(sub.flat)
+        on = rng.random((n, n)) < density  # the support, with entries in rows 0 and N - 1
+        on[0, rng.integers(n)] = on[n - 1, rng.integers(n)] = True
+        idx = np.flatnonzero(on)
+        row, col = idx // n, idx % n
+        cols = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        f = np.empty((n, n), dtype=complex)
+        for first in range(0, n, h):
+            fft_rows(cols[first:first + h], sub, f[first:first + h])
+        got = grid._fft_points(cols, row, col, sub)
+        assert np.abs(got - f.reshape(-1)[idx]).max() <= 1e-13 * np.abs(f).max()
+        values = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+        want = np.empty((m, n), dtype=complex)
+        grid._row_iffts(idx, row, values, sub, np.empty((h, n), dtype=complex), want)
+        g = np.full((m, n), 7.0 + 0j)
+        grid._point_iffts(row, col, values, sub, g)
+        held = np.unique(row)
+        assert np.abs(g[:, held] - want[:, held]).max() <= 1e-13 * np.abs(want).max()
+        assert (np.delete(g, held, axis=1) == 7.0).all()  # the other rows' columns are left
 
 
 def test_rel_l2_error():
