@@ -12,7 +12,7 @@ V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
 D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
 - C_{k-1}).  A run keeps C, the column transforms of the last two C, and t,
 the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
-N = 512) with Z, D and F there.
+N = 512) with Z, D and F there: no N x N grid.
 
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
 so max_v |F_k[u, v]| is at most their L1 norm, and a row whose bound is at
@@ -21,39 +21,37 @@ Ghaoui et al. 2012).  Where rows take direct sums (below), from N = 256 up at
 the default M, a run carries the bound on to the next sweep (Bonnefoy et al.
 2015): exact on the rows made, else the least of the L1 norm and the last bound
 plus the L1 norm of the row's change, raised to |F_k| where an entry leaves t.
-Only the support decides how a row of t is worked: a row that holds few entries
-takes direct sums over them, from an N x M twiddle table made once per run (F_k
-at them, and D_{k+1}'s row IFFT), and one that holds more is made by
-transforms; so the screen changes no bit.  A sweep does the M column IFFTs of
-D_k's row IFFTs, forms C_k and does the M column FFTs; then, in two phases:
+Only the entries decide how a row is worked: a row that holds few of them
+takes direct sums over them, from an N x M twiddle table made once per run,
+and one that holds more is made by transforms; so the screen changes no bit.
+A sweep does the M column IFFTs of D_k's row IFFTs, forms C_k and does the M
+column FFTs; then, in two phases:
   1. the rows of F_k whose bound can cross the threshold, and t's dense rows,
      are made a row block's worth at a time and thresholded at lambda / beta;
-  2. once, over all of p = t and the entries found, F_k at t's other rows,
-     the prox, the sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p),
-     D_{k+1} and the row IFFTs of the rows where D_{k+1} is nonzero.
-A run of rows made is kept in its F grid; a row made in a buffer is not, and
-where an entry found at sweep k + 1 lies in a row F_k does not hold, that row
-is made then from the kept column transforms, with the same bits.  U is
-written once, when a run stops, after every missing row of the last two F
-grids is made.  iterate is the dense API over the same sweep: (Z, Y) enters
-as F = Y / beta + Z, Z_{k-2} = 0 and C = IFFT2(F)[J, J].
+  2. once, over all of p = t and the entries found, F_k at t's other rows and
+     F_{k-1} at the entries found (from C_{k-1}'s kept column transforms), the
+     prox, the sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1}
+     and the row IFFTs of the rows where D_{k+1} is nonzero.
+U_k = FFT2(C_k - C_{k-1}) + D_k is written, every row made, into one grid, when
+a run stops and at each stop recover_to_error confirms.
+
+iterate and u_update are the paper's dense step on N x N grids; no solver calls them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (_MARGIN, MeasurementSet, Subgrid, _fft_points, _groups, _is_run, _places,
-                   _point_iffts, _row_iffts, column_fft, column_ifft, fft_rows, rel_l2_error,
-                   sampled_ifft2)
+from .grid import (MeasurementSet, Subgrid, _fft_points, _groups, _places, _point_iffts,
+                   _row_iffts, _row_l1, _screen, column_fft, column_ifft, fft_rows,
+                   rel_l2_error, sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -64,12 +62,14 @@ __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mh
 # IFFT2(D), whose row half ran at the end of the last sweep
 _fft2 = column_fft
 _ifft2 = column_ifft
+# and so tests can choose the rows of F_k a sweep makes
+_made_rows = _screen
 
-# Direct sums over a row's support entries cost M operations an entry each way,
-# and the row's transforms about N log2 N.  A row takes them when it holds at
-# most N log2 N / (_DIRECT_COST M) entries: at the default M none does at
-# N <= 128, where a sweep costs its numpy calls more than its rows, and a run
-# that takes no direct sums carries no bound either, for the same reason.
+# Direct sums over a row's entries cost M operations an entry each way, and the
+# row's transforms about N log2 N.  A row takes them when it holds at most
+# N log2 N / (_DIRECT_COST M) entries: at the default M none does at N <= 128,
+# where a sweep costs its numpy calls more than its rows, and a run that takes
+# no direct sums carries no bound either, for the same reason.
 _DIRECT_COST = 16
 
 _NONE = np.empty(0, dtype=np.intp)
@@ -96,7 +96,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not 0 < self.beta < math.inf:  # False for NaN
             raise ValueError("beta must be finite and > 0")
-        if not self.lam >= 0:  # inf is allowed: u_update uses it
+        if not self.lam >= 0:  # inf is allowed: Z then stays 0
             raise ValueError("lam must be >= 0")
         if not (self.eps_abs >= 0 and self.eps_rel >= 0):
             raise ValueError("eps_abs and eps_rel must be >= 0")
@@ -106,38 +106,34 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Primal iterate U, split variable Z, scaled dual Y, iteration counter.
-
-    iterate keeps in sweep what a run's sweeps share, rederived when
-    embedded_b, mhat or beta is a different object or value, and in form the
-    state as the next sweep reads it, used while sweep is and z and y are
-    the arrays iterate returned, so chains of iterate do a run's arithmetic.
-    """
+    """Primal iterate U, split variable Z and scaled dual Y, as N x N grids,
+    and the iteration counter: what iterate's dense step reads and returns."""
 
     u: np.ndarray
     z: np.ndarray
     y: np.ndarray
     k: int = 0
-    sweep: _SweepConstants | None = field(default=None, repr=False, compare=False)
-    form: _SweepForm | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
 class _SweepConstants:
     """What every sweep of a run shares: beta, the Subgrid of J (sorted) and
-    B / (beta + 1) on J x J; source is the (embedded_b, mhat) of iterate's
-    inputs they came from, if any; and direct_max, the most support entries a
-    row may hold and take direct sums rather than transforms (_DIRECT_COST)."""
+    B / (beta + 1) on J x J; and direct_max, the most entries a row may hold
+    and take direct sums rather than transforms (_DIRECT_COST)."""
 
     beta: float
     sub: Subgrid
     b_j: np.ndarray
-    source: tuple = ()
 
     @cached_property
     def direct_max(self) -> int:
         n = self.sub.n
         return int(n * math.log2(n)) // (_DIRECT_COST * max(len(self.sub.j), 1))
+
+    def dense(self, row: np.ndarray) -> np.ndarray:
+        """Per grid row, whether it holds more than direct_max of the entries in
+        rows row, and so is made by transforms."""
+        return np.bincount(row, minlength=self.sub.n) > self.direct_max
 
     @classmethod
     def of_measurements(cls, ms: MeasurementSet, beta: float) -> _SweepConstants:
@@ -145,21 +141,6 @@ class _SweepConstants:
         # with a reciprocal: complex / real is slow
         b_j = ms.b[np.ix_(order, order)] * (1.0 / (beta + 1.0))
         return cls(beta, Subgrid(ms.n, np.asarray(ms.indices)[order]), b_j)
-
-    @classmethod
-    def of(cls, state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
-           beta: float) -> _SweepConstants:
-        """state's constants if they came from these inputs, else new ones."""
-        if embedded_b.shape != state.z.shape:
-            raise ShapeMismatch("embedded_b and state grids must have equal shape")
-        known = state.sweep
-        if (known is not None and known.source[0] is embedded_b and known.source[1] is mhat
-                and known.beta == beta):
-            return known
-        n = embedded_b.shape[0]
-        j = np.flatnonzero(np.ravel(mhat)[::n + 1] > beta)  # the diagonal of M_hat as N x N
-        b_j = embedded_b.take(j, 0).take(j, 1) * (1.0 / (beta + 1.0))
-        return cls(beta, Subgrid(n, j), b_j, (embedded_b, mhat))
 
 
 class _Support(NamedTuple):
@@ -184,7 +165,7 @@ class _Support(NamedTuple):
            f: np.ndarray) -> _Support:
         n = const.sub.n
         row = idx // n
-        dense = np.bincount(row, minlength=n) > const.direct_max  # a sweep's one count
+        dense = const.dense(row)  # a sweep's one count
         direct = np.logical_not(dense.take(row)).nonzero()[0] if const.direct_max else _NONE
         if not len(direct):
             return cls(idx, row, z, d, f, dense)
@@ -203,79 +184,43 @@ class _Support(NamedTuple):
             _point_iffts(self.direct_row, self.direct_col, self.d.take(self.direct), sub, g)
 
 
-class _FGrid:
-    """F = FFT2(C) on an N x N grid, of which only the rows in held are made.
-    cols, C's column transforms, makes any other row when it is needed, with
-    the bits it would have had (None for a dense state's F, which holds every
-    row)."""
-
-    def __init__(self, grid: np.ndarray, cols: np.ndarray | None, held: np.ndarray):
-        self.grid, self.cols, self.held = grid, cols, held
-
-    def fill(self, sub: Subgrid, scratch: _RowBlocks, rows: np.ndarray | None = None) -> int:
-        """Makes the rows among rows (row numbers; every row if None) not held yet;
-        how many."""
-        rows = (~self.held).nonzero()[0] if rows is None else rows[~self.held[rows]]
-        if len(rows) == 0:
-            return 0
-        rows = np.unique(rows)
-        h = len(scratch.u)
-        for i in range(0, len(rows), h):  # a buffer's worth at a time
-            some = rows[i:i + h]
-            self.grid[some] = fft_rows(self.cols[some], sub, scratch.u[:len(some)])
-        self.held[rows] = True
-        return len(rows)
-
-
 @dataclass(frozen=True, eq=False)
 class _SweepForm:
-    """The state after sweep k as sweep k + 1 reads it: C_k, F_k and F_{k-1} (None
-    for a dense state), excess = ||F_k||^2 - N^2 ||C_k||^2 (0 but for a dense
-    state); z, where Z_k or Z_{k-1} is not 0, with Z_k, D_{k+1} and F_k there,
-    and z_prev, the z of sweep k - 1, whose d is D_k; g, D_{k+1}'s row IFFTs
-    gathered at columns J, as an M x N array; k; row_ffts, the rows of F grids
-    made so far; bound, per row u at least max |F_k[u, v]| over v off z (None
-    for a dense state, and in runs that take no direct sums); and the (z, y)
-    made of it."""
+    """The state after sweep k as sweep k + 1 reads it: C_k, and cols and
+    cols_prev, the column transforms of C_k and C_{k-1}; z, where Z_k or Z_{k-1}
+    is not 0, with Z_k, D_{k+1} and F_k there, and z_prev, the z of sweep k - 1,
+    whose d is D_k; g, D_{k+1}'s row IFFTs gathered at columns J, as an M x N
+    array; k; row_ffts, the rows of F made so far; and bound, per row u at least
+    max |F_k[u, v]| over v off z (None before the first sweep, and in runs that
+    take no direct sums)."""
 
     c: np.ndarray
-    f: _FGrid
-    f_prev: _FGrid | None
-    excess: float
+    cols: np.ndarray
+    cols_prev: np.ndarray
     z: _Support
     z_prev: _Support
     g: np.ndarray
     k: int
     row_ffts: int = 0
     bound: np.ndarray | None = None
-    dense: tuple = (None, None)
 
     @classmethod
-    def of(cls, state: AdmmState, const: _SweepConstants, scratch: _RowBlocks) -> _SweepForm:
-        """A dense state's form: F = Y / beta + Z, Z_{k-1} = 0, C = IFFT2(F)[J, J]."""
-        sub = const.sub
-        f = np.array(state.y, dtype=complex, order="C")
-        f *= 1.0 / const.beta
-        f += state.z
-        g = np.empty((len(sub.j), sub.n), dtype=complex)
-        z = np.ravel(state.z)
-        support = np.flatnonzero(z)
-        values = z[support].astype(complex)
-        z = _Support.of(const, support, values, values + values,  # D_{k+1} = 2 Z_k
-                        f.reshape(-1)[support])
-        z.iffts(sub, scratch, g)
-        c = sampled_ifft2(f, sub)
-        return cls(c, _FGrid(f, None, np.ones(sub.n, dtype=bool)), None,
-                   _sum_squares(f) - sub.n**2 * _sum_squares(c), z,
-                   _Support.of(const, _NONE, *_EMPTY), g, state.k)
+    def zero(cls, const: _SweepConstants) -> _SweepForm:
+        """The form a run starts from: C, Z and D all 0."""
+        n, m = const.sub.n, len(const.sub.j)
+        cols, none = np.zeros((n, m), dtype=complex), _Support.of(const, _NONE, *_EMPTY)
+        return cls(np.zeros((m, m), dtype=complex), cols, cols, none, none,
+                   np.zeros((m, n), dtype=complex), 0)
 
-    def u(self, sub: Subgrid, scratch: _RowBlocks, out: np.ndarray) -> tuple[np.ndarray, int]:
-        """U_k = F_k - F_{k-1} + D_k into out (it may be F_{k-1}'s), once every row
-        F_k and F_{k-1} do not hold yet is made; and how many were."""
-        made = self.f.fill(sub, scratch) + self.f_prev.fill(sub, scratch)
-        np.subtract(self.f.grid, self.f_prev.grid, out=out).reshape(-1)[self.z_prev.idx] += \
-            self.z_prev.d
-        return out, made
+    def u(self, sub: Subgrid, scratch: _RowBlocks, out: np.ndarray | None = None) -> np.ndarray:
+        """U_k = FFT2(C_k - C_{k-1}) + D_k into out, or else a new grid: every row
+        made from the column transforms, a row block's worth at a time."""
+        out = np.empty((sub.n, sub.n), dtype=complex) if out is None else out
+        step, h = self.cols - self.cols_prev, len(scratch.u)
+        for i in range(0, sub.n, h):
+            fft_rows(step[i:i + h], sub, out[i:i + h])
+        out.reshape(-1)[self.z_prev.idx] += self.z_prev.d
+        return out
 
 
 class _RowBlocks:
@@ -321,8 +266,8 @@ class SolveReport:
         """Scalars and residual history (the matrix is written separately); s_hat's
         total mass, most negative entry and dropped imaginary part; and why the
         solver stopped: tolerance, max_iter or error_target; and how many length-N
-        row transforms of the grid the solver made (ADMM: rows of F grids; FISTA:
-        the gradient's rows and the candidates' row IFFTs)."""
+        row transforms of the grid the solver made (ADMM: rows of F and of each U
+        written; FISTA: the gradient's rows and the candidates' row IFFTs)."""
         return {
             "iterations": self.iterations,
             "converged": self.converged,
@@ -383,37 +328,66 @@ def _sum_squares(a: np.ndarray) -> float:
     return _real_inner(a, a)
 
 
-def _made_rows(bound: np.ndarray, tau: float) -> np.ndarray:
-    """The rows of F_k a sweep makes to look for entries above tau off t: those
-    whose bound is above tau (1 - margin), which covers the rounding of the FFT
-    and of the bound, or is not finite, so that what such a row holds is seen."""
-    return ~(bound <= tau * (1.0 - _MARGIN))
+def _record(k: int, n: int, cfg: AdmmConfig, sums, *entries) -> ResidualRecord:
+    """Sweep k's residual record from the sums of squares of U - Z, Z - Z_{k-1}, U,
+    Z and Y; NonFinite unless the sums are finite or every array in entries is."""
+    if not all(map(math.isfinite, sums)) and not all(np.all(np.isfinite(e)) for e in entries):
+        raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
+    # with finite entries, nan is inf - inf from sums that overflow, and below 0 is rounding
+    rr, dd, uu, zz, yy = (math.inf if math.isnan(x) else max(x, 0.0) for x in sums)
+    return ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=cfg.beta * math.sqrt(dd),
+                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
+                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
 
 
 def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
-    """Per row u, a bound on max_v |F_k[u, v]| over the v off t.  Row u of F_k is
-    the DFT of cols[u], so its L1 norm bounds the row (El Ghaoui et al. 2012).
-    Where that is above tau and s carries a bound on F_{k-1}'s row off t, the
-    carried bound plus the L1 norm of cols[u] - cols_{k-1}[u], which bounds
-    the row of F_k - F_{k-1}, is taken if it is less (Bonnefoy et al. 2015)."""
-    bound = np.add.reduce(np.abs(cols), axis=1)
+    """Per row u, a bound on max_v |F_k[u, v]| over the v off t: the L1 norm of
+    cols[u] (grid._row_l1), or where that is above tau and s carries a bound on
+    F_{k-1}'s row off t, the carried bound plus the L1 norm of cols[u] -
+    cols_{k-1}[u], which bounds the row of F_k - F_{k-1}, if it is less
+    (Bonnefoy et al. 2015)."""
+    bound = _row_l1(cols)
     if s.bound is None:
         return bound
     above = _made_rows(bound, tau).nonzero()[0]
     if len(above):
-        step = np.subtract(cols.take(above, 0), s.f.cols.take(above, 0))
-        carried = np.add.reduce(np.abs(step), axis=1) + s.bound.take(above)
+        step = np.subtract(cols.take(above, 0), s.cols.take(above, 0))
+        carried = _row_l1(step) + s.bound.take(above)
         bound[above] = np.minimum(bound.take(above), carried)
     return bound
 
 
+def _fft_at(cols: np.ndarray, idx: np.ndarray, const: _SweepConstants,
+            scratch: _RowBlocks) -> tuple[np.ndarray, int]:
+    """Entries idx (sorted flat) of the FFT2 whose column transforms are cols, and
+    how many rows were made: those that hold more than direct_max of the entries,
+    a row block's worth at a time; direct sums give the rest."""
+    sub, n = const.sub, const.sub.n
+    row = idx // n
+    dense = const.dense(row)
+    on = dense.take(row)
+    out = np.empty(len(idx), dtype=complex)
+    at = on.nonzero()[0]
+    at_row = row.take(at)
+    groups = _groups(dense, len(scratch.u))
+    for rows in groups:
+        lo, hi = at_row.searchsorted((rows[0], rows[-1] + 1))
+        some = at[lo:hi]
+        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)])
+        out[some] = v.reshape(-1).take(_places(rows, idx.take(some), row.take(some), n))
+    off = np.logical_not(on, out=on).nonzero()[0]
+    if len(off):
+        off_row = row.take(off)
+        out[off] = _fft_points(cols, off_row, idx.take(off) - off_row * n, sub)
+    return out, sum(map(len, groups))
+
+
 def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _RowBlocks,
-           f_out: np.ndarray, g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
+           g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
     """Sweep k = s.k + 1: the new form, its residual record, and what
     _error_from_sums takes the error from: (C_k - C_{k-1}, ||U_k||^2,
-    Re sum_t D_k (2A + D_k)).  F_k's runs of rows are made in f_out (not s.f),
-    D_{k+1}'s row IFFTs in g_out (it may be s.g).  Phase 1 makes rows of F_k a
-    row block's worth at a time, and phase 2 does the support work once."""
+    Re sum_t D_k (2A + D_k)).  D_{k+1}'s row IFFTs go in g_out (it may be s.g).
+    Phase 1 makes rows of F_k a row block at a time; phase 2 works on p once."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
     n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
     carry = const.direct_max > 0  # the bound goes on to the next sweep
@@ -428,16 +402,10 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     if len(t.direct):
         on = need.take(t.row).nonzero()[0]
         on_idx, on_row = t.idx.take(on), t.row.take(on)
-    held = np.zeros(n, dtype=bool)  # the rows made in place, in f_out
 
     def grid_work(rows):  # a group of the rows of F_k, and where |V| > tau off t in them
-        first, last = rows[0], rows[-1] + 1
-        run = _is_run(rows)  # then made in place, and kept
-        if run:
-            held[first:last] = True
-        v = fft_rows(cols[first:last] if run else cols[rows], sub,
-                     f_out[first:last] if run else scratch.u[:len(rows)])
-        lo, hi = on_row.searchsorted((first, last))
+        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)])
+        lo, hi = on_row.searchsorted((rows[0], rows[-1] + 1))
         on_t = _places(rows, on_idx[lo:hi], on_row[lo:hi], n)  # t's places in v
         # V = F_k + Z_{k-1} = F_k off t
         re = np.abs(v, out=scratch.re[:len(rows)])
@@ -447,18 +415,14 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
         if carry:  # exact off t and what is found, which joins it
             flat[hit] = 0
             bound[rows] = np.maximum.reduce(re, axis=1)
-        if run:
-            found = hit + first * n
-        else:
-            slot, col = np.divmod(hit, n)
-            found = rows[slot] * n + col
+        slot, col = np.divmod(hit, n)
         v = v.reshape(-1)
-        return found, v.take(on_t), v.take(hit)
+        return rows[slot] * n + col, v.take(on_t), v.take(hit)
 
     parts = [grid_work(rows) for rows in _groups(need, h)]
-    # Phase 2: p is t then found, each sorted; F_{k-1} is made where found needs it
+    # Phase 2: p is t then found, each sorted; F_{k-1} at found from C_{k-1}'s transforms
     p, m = np.concatenate([t.idx] + [part[0] for part in parts]), len(t.idx)
-    lazy = s.f.fill(sub, scratch, p[m:] // n)
+    f_prev, remade = _fft_at(s.cols, p[m:], const, scratch)
     on_p = np.empty((8, len(p)), dtype=complex)  # rows, each the values of one vector at p
     e, d, dz, d_next, x1, a, w, f = on_p
     x1[:m], d[:m] = t.z, t.d  # Z_{k-1} and D_k at p
@@ -471,7 +435,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     else:
         np.concatenate([_EMPTY[0]] + [part[1] for part in parts] + [part[2] for part in parts],
                        out=f)
-    np.concatenate((t.f, s.f.grid.reshape(-1).take(p[m:])), out=a)
+    np.concatenate((t.f, f_prev), out=a)
     np.subtract(f, a, out=a)  # A = F_k - F_{k-1}
 
     z = soft_threshold(np.add(f, x1, out=e), tau)  # Z_k at p: 0 where |V| <= tau
@@ -494,56 +458,44 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
         kept = kept[np.argsort(p[kept], kind="stable")]
     new = _Support.of(const, p[kept], z[kept], d_next[kept], f[kept])
     new.iffts(sub, scratch, g_out)
-    dd, zz = _sum_squares(dz), _sum_squares(z)
     n2 = float(n * n)
     delta_c = c - s.c
-    dc = n2 * _sum_squares(delta_c) + s.excess  # ||F_k - F_{k-1}||^2 by Parseval
-    rr, uu = rr + dc, uu + dc
-    yy = beta**2 * (yy + n2 * _sum_squares(c))
-    sums = (rr, dd, uu, zz, yy)
+    dc = n2 * _sum_squares(delta_c)  # ||F_k - F_{k-1}||^2 by Parseval
+    sums = (rr + dc, _sum_squares(dz), uu + dc, _sum_squares(z),
+            beta**2 * (yy + n2 * _sum_squares(c)))
     # F_k's rows not made are finite: they are at most tau
-    if not all(map(math.isfinite, sums)) and not (np.all(np.isfinite(cols))
-                                                  and np.all(np.isfinite(new.z))):
-        raise NonFinite(f"non-finite iterate at k={k}; check beta/lambda")
-    # with finite entries, nan is inf - inf from sums that overflow, and below 0 is rounding
-    rr, dd, uu, zz, yy = (math.inf if math.isnan(x) else max(x, 0.0) for x in sums)
-    rec = ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=beta * math.sqrt(dd),
-                         eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
-                         eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
-    row_ffts = s.row_ffts + int(np.count_nonzero(need)) + lazy
-    return (_SweepForm(c, _FGrid(f_out, cols, held), s.f, 0.0, new, t, g_out, k, row_ffts,
-                       bound if carry else None), rec, (delta_c, uu, ud))
+    rec = _record(k, n, cfg, sums, cols, new.z)
+    row_ffts = s.row_ffts + int(np.count_nonzero(need)) + remade
+    return (_SweepForm(c, cols, s.cols, new, t, g_out, k, row_ffts, bound if carry else None),
+            rec, (delta_c, sums[2], ud))
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
              beta: float) -> np.ndarray:
-    """Closed-form U-subproblem solve U+ = FFT2[(A_hat + IFFT2(beta Z - Y)) / M_hat]:
-    iterate's U, which does not depend on lambda; an infinite one keeps no Z."""
-    return iterate(state, embedded_b, mhat, AdmmConfig(beta=beta, lam=math.inf))[0].u
+    """Closed-form U-subproblem solve U+ = FFT2[(A_hat + IFFT2(beta Z - Y)) / M_hat]
+    on N x N grids, A_hat the embedded measurements and M_hat build_mhat's
+    diagonal."""
+    z = state.z
+    if not (np.shape(embedded_b) == np.shape(state.y) == z.shape and np.size(mhat) == z.size):
+        raise ShapeMismatch("embedded_b, mhat and the state grids must all be N x N")
+    w = np.fft.ifft2(beta * z - state.y)
+    w += embedded_b
+    w /= np.reshape(mhat, z.shape)
+    return np.fft.fft2(w, out=w)
 
 
 def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
             cfg: AdmmConfig) -> tuple[AdmmState, ResidualRecord]:
-    """One full ADMM sweep, recover's, on dense states: the new state and its
-    residual record.  A state iterate did not return is put in the sweep's
-    form; the input state is not modified."""
-    const = _SweepConstants.of(state, embedded_b, mhat, cfg.beta)
-    scratch = _RowBlocks(const.sub)
-    s = state.form
-    if not (s is not None and state.sweep is const
-            and s.dense[0] is state.z and s.dense[1] is state.y):
-        s = _SweepForm.of(state, const, scratch)
-    new, rec, _ = _sweep(s, const, cfg, scratch, np.empty_like(s.f.grid), np.empty_like(s.g))
-    u, _ = new.u(const.sub, scratch, np.empty_like(new.f.grid))
-    # Y_k = beta (F_k + Z_{k-1} - Z_k) = beta (F_k + Z_k - D_{k+1})
-    z, y, t = np.zeros_like(new.f.grid), np.array(new.f.grid), new.z
-    z.reshape(-1)[t.idx] = t.z
-    y1 = y.reshape(-1)
-    y1[t.idx] += t.z
-    y1[t.idx] -= t.d
-    y *= cfg.beta
-    return AdmmState(u=u, z=z, y=y, k=new.k, sweep=const,
-                     form=dataclasses.replace(new, dense=(z, y))), rec
+    """One dense ADMM sweep in scaled form (Boyd et al. 2011, 3.1.1): U+ by
+    u_update, Z+ = prox_{lambda/beta}(U+ + Y / beta), Y+ = Y + beta (U+ - Z+);
+    the new state and its residual record.  The input state is not modified."""
+    u = u_update(state, embedded_b, mhat, cfg.beta)
+    z = soft_threshold(u + state.y / cfg.beta, cfg.lam / cfg.beta)
+    r = u - z
+    y = state.y + cfg.beta * r
+    sums = [_sum_squares(x) for x in (r, z - state.z, u, z, y)]
+    rec = _record(state.k + 1, u.shape[0], cfg, sums, u, z, y)
+    return AdmmState(u=u, z=z, y=y, k=rec.k), rec
 
 
 def residual_check(rec: ResidualRecord) -> bool:
@@ -600,13 +552,10 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     error = None if s_true is None else _error_from_sums(s_true, const.sub)
     history: list[ResidualRecord] = []
     converged, reason, made = False, "max_iter", 0  # made: rows made to write a U
-    # a sweep writes F over F_{k-2} and g over the g it reads: fresh grids cost page faults
-    spare = np.zeros((ms.n, ms.n), dtype=complex)
-    s = _SweepForm.of(AdmmState(u=spare, z=spare, y=spare), const, scratch)
+    s, u = _SweepForm.zero(const), None  # u: the one grid each U is written into
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
-        s, rec, sums = _sweep(s, const, cfg, scratch, spare, s.g)
-        spare = s.f_prev.grid
+        s, rec, sums = _sweep(s, const, cfg, scratch, s.g)
         history.append(rec)
         first = history[0]
         converged = converged or (residual_check(rec)
@@ -617,12 +566,12 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
                 reason = "tolerance"
                 break
         elif error(s.z_prev, *sums) <= target:
-            u, rows = s.u(const.sub, scratch, np.empty_like(spare))  # spare holds F_{k-1}
-            made += rows
+            u, made = s.u(const.sub, scratch, u), made + ms.n
             if rel_l2_error(np.real(u) / ms.n**2, s_true) <= target:
                 reason = "error_target"
                 break
-    u, rows = s.u(const.sub, scratch, spare)  # over F_{k-1}
-    made += s.row_ffts + rows
-    del s  # and F_k's grid with it: U is the one grid left when s_hat is made
+    if reason != "error_target":
+        u, made = s.u(const.sub, scratch, u), made + ms.n
+    made += s.row_ffts
+    del s, scratch  # and the transforms and buffers: U is the one grid left for s_hat
     return SolveReport.from_iterate(u, history, converged, start, reason, made)

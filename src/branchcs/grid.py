@@ -188,16 +188,21 @@ def _fft_points(cols: np.ndarray, row: np.ndarray, col: np.ndarray, sub: Subgrid
     return np.einsum("pm,pm->p", cols.take(row, 0), sub.twiddles.take(col, 0))
 
 
-# a row of FFT2 whose L1 bound is at most tau (1 - _MARGIN) is not made
+# a row of FFT2 whose bound is at most tau (1 - _MARGIN) is not made
 _MARGIN = 1e-9
 
 
-def _screen(cols: np.ndarray, tau: float) -> np.ndarray:
-    """Per row u of F = FFT2(C), whether it can hold an entry above tau.  Row u is
-    the DFT of its M nonzeros cols[u], so max_v |F[u, v]| <= sum_j |cols[u, j]|;
-    the margin covers the rounding of the FFT and of the sum.  A row whose bound
-    is not finite passes, so that what it holds is made and seen."""
-    return ~(np.abs(cols).sum(axis=1) <= tau * (1.0 - _MARGIN))
+def _row_l1(cols: np.ndarray) -> np.ndarray:
+    """Per row u of F = FFT2(C), sum_j |cols[u, j]|, a bound on max_v |F[u, v]|:
+    row u is the DFT of its M nonzeros cols[u] (El Ghaoui et al. 2012)."""
+    return np.add.reduce(np.abs(cols), axis=1)
+
+
+def _screen(bound: np.ndarray, tau: float) -> np.ndarray:
+    """Per row of FFT2, whether it can hold an entry above tau, given bound, per row
+    at least its largest modulus: above tau (1 - _MARGIN), which covers the rounding
+    of the FFT and of the bound, or not finite, so that what it holds is seen."""
+    return ~(bound <= tau * (1.0 - _MARGIN))
 
 
 def _groups(rows: np.ndarray, h: int) -> list:

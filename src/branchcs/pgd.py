@@ -35,8 +35,8 @@ import numpy as np
 
 from .admm import _NONE, SolveReport, _sum_squares, soft_threshold
 from .errors import NonFinite
-from .grid import (_MARGIN, MeasurementSet, Subgrid, _places, _row_iffts, _screen, column_fft,
-                   column_ifft, fft_rows)
+from .grid import (_MARGIN, MeasurementSet, Subgrid, _places, _row_iffts, _row_l1, _screen,
+                   column_fft, column_ifft, fft_rows)
 
 __all__ = ["PgdConfig", "PgdRecord", "pgd_recover"]
 
@@ -101,7 +101,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
             raise NonFinite(f"non-finite PGD objective at k={k}")
         cols = _fft2(r_y, sub)
         # the rows of G that can hold |G| > lam, and Y's
-        rows = _screen(cols, lam)
+        rows = _screen(_row_l1(cols), lam)
         rows[cur.idx // n] = True
         rows[prev.idx // n] = True
         made = rows.nonzero()[0]

@@ -1,5 +1,5 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
-the objective and the transforms FISTA's gradient is made of, the per-point
+the dense state of each of recover's sweeps, the objective and the transforms FISTA's gradient is made of, the per-point
 Riccati solve that checks the HSC PGF flow, the out-of-place PGF grid
 whose bits the in-place one must keep, and the sparse generator and
 scipy-weighted uniformization that check the oracle's stencil."""
@@ -7,11 +7,12 @@ scipy-weighted uniformization that check the oracle's stencil."""
 import math
 
 import numpy as np
+import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.stats import poisson
 
-from branchcs import models
+from branchcs import admm, models
 from branchcs.admm import AdmmState, soft_threshold
 from branchcs.grid import MeasurementSet, Subgrid, column_fft, fft_rows, sampled_ifft2
 
@@ -69,11 +70,42 @@ def dense_u_solve(ms: MeasurementSet, beta: float, z: np.ndarray,
 
 def dense_sweep(ms: MeasurementSet, beta: float, lam: float,
                 state: AdmmState) -> AdmmState:
-    """One full ADMM sweep using the dense U-solve; mirrors admm.iterate."""
+    """One full ADMM sweep using the dense U-solve, the paper's closed-form step."""
     u_new = dense_u_solve(ms, beta, state.z, state.y)
     z_new = soft_threshold(u_new + state.y / beta, lam / beta)
     y_new = state.y + beta * (u_new - z_new)
     return AdmmState(u=u_new, z=z_new, y=y_new, k=state.k + 1)
+
+
+def form_state(s, const, beta: float) -> AdmmState:
+    """The dense (U_k, Z_k, Y_k) of the form s of recover's sweep k: Z_k on its
+    support, Y_k = beta (F_k + Z_k - D_{k+1}) with F_k = FFT2 of C_k on J x J,
+    and U_k as the run writes it from the form."""
+    sub, t = const.sub, s.z
+    f = np.zeros((sub.n, sub.n), dtype=complex)
+    f[np.ix_(sub.j, sub.j)] = s.c
+    y = np.fft.fft2(f)
+    z = np.zeros_like(y)
+    z.reshape(-1)[t.idx] = t.z
+    y.reshape(-1)[t.idx] += t.z - t.d
+    y *= beta
+    return AdmmState(u=s.u(sub, admm._RowBlocks(sub)), z=z, y=y, k=s.k)
+
+
+def recover_states(ms: MeasurementSet, cfg) -> tuple[list, admm.SolveReport]:
+    """admm.recover's report and the dense state of each of its sweeps, made by
+    form_state from a wrapper of admm._sweep as each sweep returns."""
+    states, sweep = [], admm._sweep
+
+    def keeping(s, const, *args):
+        new, rec, sums = sweep(s, const, *args)
+        states.append(form_state(new, const, cfg.beta))
+        return new, rec, sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(admm, "_sweep", keeping)
+        report = admm.recover(ms, cfg)
+    return states, report
 
 
 def dense_pgd(ms: MeasurementSet, cfg):

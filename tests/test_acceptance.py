@@ -14,14 +14,12 @@ from branchcs.admm import (
     AdmmConfig,
     AdmmState,
     build_mhat,
-    iterate,
     recover,
     recover_to_error,
 )
 from branchcs.grid import (
     MeasurementSet,
     default_m,
-    embed_measurements,
     full_measurements,
     invert_full,
     rel_l2_error,
@@ -33,7 +31,7 @@ from branchcs.oracle import oracle_transition_matrix
 from branchcs.pgd import PgdConfig, pgd_recover
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, admm_lambda, pgd_lambda
 from conftest import BDS_RATES, HSC_RATES
-from helpers import dense_sweep, fista_gradient, smooth_value
+from helpers import dense_sweep, fista_gradient, recover_states, smooth_value
 
 # Tight stopping used where a run must reach the low-error plateau regardless
 # of the stepsize (large beta converges slowly, so the shipped defaults would
@@ -71,20 +69,18 @@ def test_criterion_2_oracle_equivalence(kind, rates, t, init):
 
 @pytest.mark.parametrize("n,m", [(4, 3), (8, 6)])
 def test_criterion_3_dense_oracle_equivalence(n, m):
-    """Matrix-free sweeps equal the explicit Kronecker solve per iterate."""
+    """recover's own sweeps equal the explicit Kronecker solve per iterate."""
     worst = 0.0
     for seed in range(5):
         model = ModelSpec(kind="hsc", rates=HSC_RATES, t=1.0, init=(1, 0))
         full = full_measurements(model, n)
         ms = _measurements(full, n, m, seed)
-        cfg = AdmmConfig(beta=0.1, lam=0.5, max_iter=10)
-        emb = embed_measurements(ms)
-        mhat = build_mhat(n, ms.indices, cfg.beta)
+        cfg = AdmmConfig(beta=0.1, lam=0.5, max_iter=4)
         zeros = np.zeros((n, n), dtype=complex)
-        fast = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
         slow = AdmmState(u=zeros.copy(), z=zeros.copy(), y=zeros.copy())
-        for _ in range(4):
-            fast, _ = iterate(fast, emb, mhat, cfg)
+        states, _ = recover_states(ms, cfg)
+        assert len(states) == 4
+        for fast in states:
             slow = dense_sweep(ms, cfg.beta, cfg.lam, slow)
             for name in ("u", "z", "y"):
                 d = float(np.max(np.abs(getattr(fast, name) - getattr(slow, name))))

@@ -226,7 +226,7 @@ class TestSparseLoop:
              * np.exp(1j * (phase + 2 * np.pi * j * u / n))[:, None])
         cols = grid.column_fft(r, sub)
         lam = np.abs(cols[u]).sum() * (1.0 + 1e-12 * nudge) / ((1.0 - 1e-9) if at_cut else 1.0)
-        made = grid._screen(cols, lam)
+        made = grid._screen(grid._row_l1(cols), lam)
         assert made[np.abs(cols).sum(axis=1) > lam].all()
         g = fft2_rows(r, sub)  # the rows fft_rows makes, with their bits
         assert np.abs(g[~made]).max(initial=0.0) <= lam
@@ -245,7 +245,7 @@ class TestSparseLoop:
             pgd_recover(bad_ms, PgdConfig(lam=1.0, max_iter=5))
         # a row whose bound is not finite is made, so what it holds is seen
         cols = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.5, 0.25], [1.0, 0.5]])
-        assert grid._screen(cols, 1.0).tolist() == [True, True, False, True]
+        assert grid._screen(grid._row_l1(cols), 1.0).tolist() == [True, True, False, True]
 
 
 def test_matched_accuracy_counts_at_bds_256(bds_model):
