@@ -10,8 +10,8 @@ The scaled dual Y is not kept (Boyd et al. 2011, 3.1.1).  With C_k the M x M
 block sweep k transforms and F_k = FFT2(C_k), the prox argument is
 V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
 D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
-- C_{k-1}).  A run keeps C, the column transforms of the last two C, and t,
-the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
+- C_{k-1}).  A run keeps the last two C, the column transforms of the last, and
+t, the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
 N = 512) with Z, D and F there: no N x N grid.
 
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
@@ -32,8 +32,11 @@ column FFTs; then, in two phases:
      F_{k-1} at the entries found (from C_{k-1}'s kept column transforms), the
      prox, the sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1}
      and the row IFFTs of the rows where D_{k+1} is nonzero.
-U_k = FFT2(C_k - C_{k-1}) + D_k is written, every row made, into one grid, when
-a run stops and at each stop recover_to_error confirms.
+s_hat = Re(U_k) / N^2, U_k = FFT2(C_k - C_{k-1}) + D_k, is written when a run
+stops and at each stop recover_to_error confirms: one column FFT of C_k - C_{k-1},
+then a row block's worth of U_k's rows at a time in the run's row buffer, D_k
+added at its entries, and the real part over N^2 into one float grid the run
+reuses; no complex N x N grid is made.
 
 iterate and u_update are the paper's dense step on N x N grids; no solver calls them.
 """
@@ -51,7 +54,7 @@ import numpy as np
 from .errors import NonFinite, ShapeMismatch
 from .grid import (MeasurementSet, Subgrid, _fft_points, _groups, _places, _point_iffts,
                    _row_iffts, _row_l1, _screen, column_fft, column_ifft, fft_rows,
-                   rel_l2_error, sampled_ifft2)
+                   rel_l2_error, row_blocks, sampled_ifft2)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -186,8 +189,8 @@ class _Support(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class _SweepForm:
-    """The state after sweep k as sweep k + 1 reads it: C_k, and cols and
-    cols_prev, the column transforms of C_k and C_{k-1}; z, where Z_k or Z_{k-1}
+    """The state after sweep k as sweep k + 1 reads it: C_k and C_{k-1}, and
+    cols, the column transforms of C_k; z, where Z_k or Z_{k-1}
     is not 0, with Z_k, D_{k+1} and F_k there, and z_prev, the z of sweep k - 1,
     whose d is D_k; g, D_{k+1}'s row IFFTs gathered at columns J, as an M x N
     array; k; row_ffts, the rows of F made so far; and bound, per row u at least
@@ -195,8 +198,8 @@ class _SweepForm:
     take no direct sums)."""
 
     c: np.ndarray
+    c_prev: np.ndarray
     cols: np.ndarray
-    cols_prev: np.ndarray
     z: _Support
     z_prev: _Support
     g: np.ndarray
@@ -208,19 +211,9 @@ class _SweepForm:
     def zero(cls, const: _SweepConstants) -> _SweepForm:
         """The form a run starts from: C, Z and D all 0."""
         n, m = const.sub.n, len(const.sub.j)
-        cols, none = np.zeros((n, m), dtype=complex), _Support.of(const, _NONE, *_EMPTY)
-        return cls(np.zeros((m, m), dtype=complex), cols, cols, none, none,
+        c, none = np.zeros((m, m), dtype=complex), _Support.of(const, _NONE, *_EMPTY)
+        return cls(c, c, np.zeros((n, m), dtype=complex), none, none,
                    np.zeros((m, n), dtype=complex), 0)
-
-    def u(self, sub: Subgrid, scratch: _RowBlocks, out: np.ndarray | None = None) -> np.ndarray:
-        """U_k = FFT2(C_k - C_{k-1}) + D_k into out, or else a new grid: every row
-        made from the column transforms, a row block's worth at a time."""
-        out = np.empty((sub.n, sub.n), dtype=complex) if out is None else out
-        step, h = self.cols - self.cols_prev, len(scratch.u)
-        for i in range(0, sub.n, h):
-            fft_rows(step[i:i + h], sub, out[i:i + h])
-        out.reshape(-1)[self.z_prev.idx] += self.z_prev.d
-        return out
 
 
 class _RowBlocks:
@@ -243,6 +236,11 @@ class ResidualRecord:
 
 @dataclass
 class SolveReport:
+    """What a solver returns: s_hat, the real part of its last iterate over N^2,
+    written without a complex N x N grid (ADMM by row blocks, FISTA from its
+    support); the largest |imaginary part| / N^2 it dropped, max_imag; the
+    per-iteration records and why the run stopped; and the row transforms made."""
+
     s_hat: np.ndarray
     history: list
     iterations: int
@@ -252,22 +250,12 @@ class SolveReport:
     stop_reason: str = "max_iter"
     row_ffts: int = 0
 
-    @classmethod
-    def from_iterate(cls, u: np.ndarray, history: list, converged: bool, start: float,
-                     stop_reason: str, row_ffts: int):
-        """Report on the final Fourier-domain iterate u: s_hat = real(u)/N^2, timed from start."""
-        wall, n2, im = time.perf_counter() - start, u.shape[0] ** 2, np.imag(u)
-        return cls(s_hat=np.real(u) / n2, history=history, iterations=len(history),
-                   converged=converged, wall_time=wall,
-                   max_imag=max(float(im.max()), -float(im.min())) / n2,  # no |Im U| grid
-                   stop_reason=stop_reason, row_ffts=row_ffts)
-
     def to_json_dict(self) -> dict:
         """Scalars and residual history (the matrix is written separately); s_hat's
         total mass, most negative entry and dropped imaginary part; and why the
         solver stopped: tolerance, max_iter or error_target; and how many length-N
-        row transforms of the grid the solver made (ADMM: rows of F and of each U
-        written; FISTA: the gradient's rows and the candidates' row IFFTs)."""
+        row transforms of the grid the solver made (ADMM: rows of F and of each
+        s_hat written; FISTA: the gradient's rows and the candidates' row IFFTs)."""
         return {
             "iterations": self.iterations,
             "converged": self.converged,
@@ -466,7 +454,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     # F_k's rows not made are finite: they are at most tau
     rec = _record(k, n, cfg, sums, cols, new.z)
     row_ffts = s.row_ffts + int(np.count_nonzero(need)) + remade
-    return (_SweepForm(c, cols, s.cols, new, t, g_out, k, row_ffts, bound if carry else None),
+    return (_SweepForm(c, s.c, cols, new, t, g_out, k, row_ffts, bound if carry else None),
             rec, (delta_c, sums[2], ud))
 
 
@@ -499,8 +487,10 @@ def iterate(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
 
 
 def residual_check(rec: ResidualRecord) -> bool:
-    """True iff both residuals are within tolerance (inclusive)."""
-    return rec.r_norm <= rec.eps_pri and rec.s_norm <= rec.eps_dual
+    """True iff both tolerances are finite and both residuals are within them
+    (inclusive): sums that overflow give inf <= inf, which says nothing."""
+    return (math.isfinite(rec.eps_pri) and math.isfinite(rec.eps_dual)
+            and rec.r_norm <= rec.eps_pri and rec.s_norm <= rec.eps_dual)
 
 
 def recover(ms: MeasurementSet, cfg: AdmmConfig) -> SolveReport:
@@ -542,6 +532,24 @@ def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
     return rel_error
 
 
+def _write_s_hat(s: _SweepForm, sub: Subgrid, scratch: _RowBlocks,
+                 out: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """s_hat = Re(U_k) / N^2 of the form s of sweep k into out, or else a new float
+    grid, and max |Im U_k| / N^2: U_k = FFT2(C_k - C_{k-1}) + D_k is made a row
+    block's worth of rows at a time in scratch, from one column FFT."""
+    n, t = sub.n, s.z_prev  # t: D_k's support
+    out = np.empty((n, n)) if out is None else out
+    n2, step = float(n * n), column_fft(s.c - s.c_prev, sub)
+    imag = []  # per block, max Im U and -min Im U
+    for rows in row_blocks(n):
+        u = fft_rows(step[rows], sub, scratch.u[:rows.stop - rows.start])
+        lo, hi = t.idx.searchsorted((rows.start * n, rows.stop * n))
+        u.reshape(-1)[t.idx[lo:hi] - rows.start * n] += t.d[lo:hi]
+        np.divide(u.real, n2, out=out[rows])
+        imag += u.imag.max(), -u.imag.min()
+    return out, float(np.max(imag)) / n2
+
+
 def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
          target: float = 0.0) -> SolveReport:
     """Sweeps from zero until the error against s_true is at most target, or without
@@ -551,8 +559,8 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     scratch = _RowBlocks(const.sub)
     error = None if s_true is None else _error_from_sums(s_true, const.sub)
     history: list[ResidualRecord] = []
-    converged, reason, made = False, "max_iter", 0  # made: rows made to write a U
-    s, u = _SweepForm.zero(const), None  # u: the one grid each U is written into
+    converged, reason, made = False, "max_iter", 0  # made: rows made to write s_hat
+    s, s_hat = _SweepForm.zero(const), None  # s_hat: the one grid each is written into
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
         s, rec, sums = _sweep(s, const, cfg, scratch, s.g)
@@ -566,12 +574,12 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
                 reason = "tolerance"
                 break
         elif error(s.z_prev, *sums) <= target:
-            u, made = s.u(const.sub, scratch, u), made + ms.n
-            if rel_l2_error(np.real(u) / ms.n**2, s_true) <= target:
+            (s_hat, max_imag), made = _write_s_hat(s, const.sub, scratch, s_hat), made + ms.n
+            if rel_l2_error(s_hat, s_true) <= target:
                 reason = "error_target"
                 break
     if reason != "error_target":
-        u, made = s.u(const.sub, scratch, u), made + ms.n
-    made += s.row_ffts
-    del s, scratch  # and the transforms and buffers: U is the one grid left for s_hat
-    return SolveReport.from_iterate(u, history, converged, start, reason, made)
+        (s_hat, max_imag), made = _write_s_hat(s, const.sub, scratch, s_hat), made + ms.n
+    return SolveReport(s_hat=s_hat, history=history, iterations=len(history),
+                       converged=converged, wall_time=time.perf_counter() - start,
+                       max_imag=max_imag, stop_reason=reason, row_ffts=made + s.row_ffts)

@@ -7,6 +7,8 @@ interleaved re/im when complex.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -47,16 +49,25 @@ def write_matrix(path, arr: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a BPM1 matrix file")
-    rows, cols, flags = struct.unpack("<III", raw[4:16])
-    dtype = np.dtype("<c16" if flags & FLAG_COMPLEX else "<f8")
-    expected = 16 + rows * cols * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: {len(raw)} bytes, expected {expected} "
-                         f"for a {rows}x{cols} {dtype.name} matrix")
-    return np.frombuffer(raw, dtype=dtype, offset=16).reshape(rows, cols).copy()
+    """The matrix in the BPM1 file path, its body read straight into the array
+    returned: the file is held once, with no bytes object or copy beside it."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != MAGIC:
+            raise ValueError(f"{path}: not a BPM1 matrix file")
+        rows, cols, flags = struct.unpack("<III", head[4:16])
+        dtype = np.dtype("<c16" if flags & FLAG_COMPLEX else "<f8")
+        expected = 16 + rows * cols * dtype.itemsize
+        # a file's size is checked before the array is made; a pipe's only as it is read
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else expected
+        if size == expected:
+            out = np.empty((rows, cols), dtype=dtype)
+            size = 16 + fh.readinto(out.data) + len(fh.read(1))  # the file may have changed
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, expected {expected} "
+                             f"for a {rows}x{cols} {dtype.name} matrix")
+    return out
 
 
 def write_csv(path, arr: np.ndarray) -> None:

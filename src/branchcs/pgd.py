@@ -21,7 +21,9 @@ exceeds lam (1 - margin), and takes the candidate and the relative change only
 on the entries where Y is not 0 or |G| exceeds that cut.  The candidate's
 residual takes the row IFFTs of those entries' rows and the M column IFFTs: an
 iteration makes exactly two restricted transform sets, the gradient's and the
-candidate's.  The iterates are the dense loop's within rounding.
+candidate's.  The iterates are the dense loop's within rounding.  s_hat is
+Re(S) / N^2 put on S's support in a zero float grid, and max_imag is taken
+from the support's values: no complex N x N grid is made.
 """
 
 from __future__ import annotations
@@ -149,7 +151,10 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
         if rel < cfg.tol:
             converged = True
             break
-    s = np.zeros((n, n), dtype=complex)
-    s.reshape(-1)[cur.idx] = cur.val
-    return SolveReport.from_iterate(s, history, converged, start,
-                                    "tolerance" if converged else "max_iter", row_ffts)
+    n2, s_hat = float(n * n), np.zeros((n, n))
+    s_hat.reshape(-1)[cur.idx] = cur.val.real / n2
+    max_imag = float(np.abs(cur.val.imag).max(initial=0.0)) / n2
+    return SolveReport(s_hat=s_hat, history=history, iterations=len(history),
+                       converged=converged, wall_time=time.perf_counter() - start,
+                       max_imag=max_imag, stop_reason="tolerance" if converged else "max_iter",
+                       row_ffts=row_ffts)

@@ -1,5 +1,5 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
-the dense state of each of recover's sweeps, the objective and the transforms FISTA's gradient is made of, the per-point
+the dense state of each of recover's sweeps and the U_k s_hat is written from, the objective and the transforms FISTA's gradient is made of, the per-point
 Riccati solve that checks the HSC PGF flow, the out-of-place PGF grid
 whose bits the in-place one must keep, and the sparse generator and
 scipy-weighted uniformization that check the oracle's stencil."""
@@ -77,10 +77,21 @@ def dense_sweep(ms: MeasurementSet, beta: float, lam: float,
     return AdmmState(u=u_new, z=z_new, y=y_new, k=state.k + 1)
 
 
+def dense_u(s, sub: Subgrid) -> np.ndarray:
+    """U_k = FFT2(C_k - C_{k-1}) + D_k of the form s of recover's sweep k, made
+    dense: one fft2 of C_k - C_{k-1} put on J x J of a zero grid, then D_k added
+    on its support."""
+    step = np.zeros((sub.n, sub.n), dtype=complex)
+    step[np.ix_(sub.j, sub.j)] = s.c - s.c_prev
+    u = np.fft.fft2(step)
+    u.reshape(-1)[s.z_prev.idx] += s.z_prev.d
+    return u
+
+
 def form_state(s, const, beta: float) -> AdmmState:
     """The dense (U_k, Z_k, Y_k) of the form s of recover's sweep k: Z_k on its
     support, Y_k = beta (F_k + Z_k - D_{k+1}) with F_k = FFT2 of C_k on J x J,
-    and U_k as the run writes it from the form."""
+    and U_k by dense_u."""
     sub, t = const.sub, s.z
     f = np.zeros((sub.n, sub.n), dtype=complex)
     f[np.ix_(sub.j, sub.j)] = s.c
@@ -89,7 +100,7 @@ def form_state(s, const, beta: float) -> AdmmState:
     z.reshape(-1)[t.idx] = t.z
     y.reshape(-1)[t.idx] += t.z - t.d
     y *= beta
-    return AdmmState(u=s.u(sub, admm._RowBlocks(sub)), z=z, y=y, k=s.k)
+    return AdmmState(u=dense_u(s, sub), z=z, y=y, k=s.k)
 
 
 def recover_states(ms: MeasurementSet, cfg) -> tuple[list, admm.SolveReport]:

@@ -1,6 +1,8 @@
 """Binary and CSV matrix serialization."""
 
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,44 @@ class TestBinaryFormat:
         path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
         with pytest.raises(ValueError, match="m.bpm"):
             read_matrix(path)
+
+    def test_one_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "one.bpm"
+        write_matrix(path, np.ones((3, 2), dtype=complex))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError, match=f"{path}: 113 bytes, expected 112"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_read_back_is_writable_and_c_contiguous(self, tmp_path, kind):
+        arr = np.arange(12.0).reshape(3, 4) * (1j if kind == "complex" else 1)
+        path = tmp_path / "m.bpm"
+        write_matrix(path, np.asfortranarray(arr))
+        back = read_matrix(path)
+        assert back.flags.writeable and back.flags.c_contiguous
+        back[0, 0] = 7  # its own buffer
+        assert np.array_equal(read_matrix(path), arr)
+
+    @pytest.mark.parametrize("extra", [0, -8, 8], ids=["whole", "truncated", "trailing-bytes"])
+    def test_a_pipe_is_read_as_a_file_is(self, tmp_path, extra):
+        arr = np.arange(6.0).reshape(2, 3)
+        write_matrix(tmp_path / "m.bpm", arr)
+        raw = (tmp_path / "m.bpm").read_bytes()
+        raw = raw[:extra] if extra < 0 else raw + b"\x00" * extra
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(raw,))
+        writer.start()
+        try:
+            if extra:
+                with pytest.raises(ValueError, match="pipe"):
+                    read_matrix(path)
+            else:
+                assert np.array_equal(read_matrix(path), arr)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ValueError):
