@@ -75,26 +75,26 @@ _made_rows = _screen
 # no direct sums carries no bound either, for the same reason.
 _DIRECT_COST = 16
 
+# Both residuals must also fall below _MIN_DROP times their first-sweep values
+# before a run has converged: the tolerances alone fire mid-descent, well
+# before the low-error plateau.
+_MIN_DROP = 1e-2
+
 _NONE = np.empty(0, dtype=np.intp)
 _EMPTY = (np.empty(0, dtype=complex),) * 3
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
-    """ADMM tuning: stepsize, l1 penalty, and stopping tolerances, whose
-    primal/dual scale factors are D1 = N^d1_exp, D2 = N^d2_exp."""
+    """ADMM tuning: stepsize beta, l1 penalty lam, sweep cap max_iter, and stopping
+    tolerances in S units (U = N^2 S): eps_pri = N^2 eps_abs + eps_rel max(||U||, ||Z||)
+    and eps_dual = N^2 eps_abs + eps_rel ||Y|| (Boyd et al. 2011, 3.3.1)."""
 
     beta: float
     lam: float
-    eps_abs: float = 1e-2
+    eps_abs: float = 1e-3
     eps_rel: float = 1e-3
-    d1_exp: float = 2.0
-    d2_exp: float = 5.0
     max_iter: int = 500
-    # Both residuals must also fall below min_drop times their first-sweep
-    # values before the run is declared converged: the published constants
-    # alone fire mid-descent, well before the low-error plateau.
-    min_drop: float = 1e-2
 
     def __post_init__(self):
         if not 0 < self.beta < math.inf:  # False for NaN
@@ -324,8 +324,8 @@ def _record(k: int, n: int, cfg: AdmmConfig, sums, *entries) -> ResidualRecord:
     # with finite entries, nan is inf - inf from sums that overflow, and below 0 is rounding
     rr, dd, uu, zz, yy = (math.inf if math.isnan(x) else max(x, 0.0) for x in sums)
     return ResidualRecord(k=k, r_norm=math.sqrt(rr), s_norm=cfg.beta * math.sqrt(dd),
-                          eps_pri=n**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
-                          eps_dual=n**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
+                          eps_pri=n**2 * cfg.eps_abs + cfg.eps_rel * math.sqrt(max(uu, zz)),
+                          eps_dual=n**2 * cfg.eps_abs + cfg.eps_rel * math.sqrt(yy))
 
 
 def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
@@ -567,8 +567,8 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
         history.append(rec)
         first = history[0]
         converged = converged or (residual_check(rec)
-                                  and rec.r_norm <= cfg.min_drop * first.r_norm
-                                  and rec.s_norm <= cfg.min_drop * first.s_norm)
+                                  and rec.r_norm <= _MIN_DROP * first.r_norm
+                                  and rec.s_norm <= _MIN_DROP * first.s_norm)
         if error is None:
             if converged:
                 reason = "tolerance"

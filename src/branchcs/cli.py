@@ -119,6 +119,9 @@ def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
     s_true = matio.read_matrix(args.truth) if args.truth else None
     if s_true is not None and s_true.shape != (n, n):
         raise ValueError(f"--truth {args.truth} has shape {s_true.shape}, expected {(n, n)}")
+    # else eps_rel_l2 is inf or nan, which manifest.json cannot hold as JSON
+    if s_true is not None and not (np.all(np.isfinite(s_true)) and np.any(s_true)):
+        raise ValueError(f"--truth {args.truth} must be finite and not all zero")
     solve, solver_cfg = _solver(args, model.kind, n, m)
     indices = sample_indices(n, m, args.seed)
     ms = sampled_measurements(model, n, indices, seed=args.seed)

@@ -2,8 +2,8 @@
 
 Convention: the forward transform is the unnormalized DFT with kernel
 e^{-2 pi i l u / N} (numpy fft2); the 1/N^2 factor is applied exactly once:
-by the inverse transforms in invert_full (the two passes of irfft2), and in
-the ADMM module's final rescale.
+by the inverse transforms in invert_full (the two passes of irfft2), and where
+a solver writes s_hat, Re(U) / N^2 for ADMM and Re(S) / N^2 for FISTA.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Built-in solver defaults keyed by (model, N), plus the penalty heuristics."""
+"""Built-in ADMM stepsizes keyed by (model, N), plus the penalty heuristics."""
 
 from __future__ import annotations
 
@@ -11,22 +11,22 @@ __all__ = ["admm_lambda", "pgd_lambda", "admm_defaults", "DEFAULT_SPARSITY_K"]
 # Fitted so default_m reproduces the published HSC benchmark M column.
 DEFAULT_SPARSITY_K = 126
 
-# Per-(model, N) stepsize and stopping parameters used in the benchmark runs.
-# d1/d2 are the exponents of the N^d tolerance scale factors.
+# Per-(model, N) ADMM stepsize beta used in the benchmark runs; every row, and
+# the fallback, takes AdmmConfig's stopping tolerances.
 _TABLE = {
-    ("hsc", 64): dict(beta=0.08, d1=2, d2=5, eps_abs=1e-2, eps_rel=1e-3),
-    ("hsc", 128): dict(beta=0.005, d1=2, d2=5, eps_abs=1e-2, eps_rel=1e-3),
-    ("hsc", 256): dict(beta=0.08, d1=2, d2=5, eps_abs=1e-2, eps_rel=1e-3),
-    ("hsc", 512): dict(beta=0.005, d1=2, d2=5, eps_abs=1e-2, eps_rel=1e-3),
-    ("hsc", 1024): dict(beta=0.005, d1=2, d2=5, eps_abs=1e-3, eps_rel=1e-3),
-    ("bds", 64): dict(beta=0.005, d1=2, d2=2, eps_abs=1e-3, eps_rel=1e-3),
-    ("bds", 128): dict(beta=0.005, d1=2, d2=2, eps_abs=1e-3, eps_rel=1e-3),
-    ("bds", 256): dict(beta=0.005, d1=2, d2=2, eps_abs=1e-3, eps_rel=1e-3),
-    ("bds", 512): dict(beta=0.0005, d1=2, d2=2, eps_abs=1e-3, eps_rel=1e-3),
-    ("bds", 1024): dict(beta=0.0005, d1=1, d2=1, eps_abs=1e-3, eps_rel=1e-3),
+    ("hsc", 64): 0.08,
+    ("hsc", 128): 0.005,
+    ("hsc", 256): 0.08,
+    ("hsc", 512): 0.005,
+    ("hsc", 1024): 0.005,
+    ("bds", 64): 0.005,
+    ("bds", 128): 0.005,
+    ("bds", 256): 0.005,
+    ("bds", 512): 0.0005,
+    ("bds", 1024): 0.0005,
 }
 
-_FALLBACK = dict(beta=0.01, d1=2, d2=2, eps_abs=1e-3, eps_rel=1e-3)
+_FALLBACK = 0.01
 
 
 def admm_lambda(m: int) -> float:
@@ -40,16 +40,8 @@ def pgd_lambda(kind: str, m: int) -> float:
 
 
 def admm_defaults(kind: str, n: int, m: int, max_iter: int = 500, **overrides) -> AdmmConfig:
-    """AdmmConfig from the defaults registry; keyword overrides win."""
-    row = _TABLE.get((kind, n), _FALLBACK)
-    params = dict(
-        beta=row["beta"],
-        lam=admm_lambda(m),
-        eps_abs=row["eps_abs"],
-        eps_rel=row["eps_rel"],
-        d1_exp=row["d1"],
-        d2_exp=row["d2"],
-        max_iter=max_iter,
-    )
+    """AdmmConfig of the preset beta for (kind, n), or the fallback, lam =
+    admm_lambda(m) and max_iter; keyword overrides that are not None win."""
+    params = dict(beta=_TABLE.get((kind, n), _FALLBACK), lam=admm_lambda(m), max_iter=max_iter)
     params.update({k: v for k, v in overrides.items() if v is not None})
     return AdmmConfig(**params)

@@ -1,6 +1,6 @@
 """Dense reference implementations used to cross-check the matrix-free solver,
 the dense state of each of recover's sweeps and the U_k s_hat is written from, the objective and the transforms FISTA's gradient is made of, the per-point
-Riccati solve that checks the HSC PGF flow, the out-of-place PGF grid
+Riccati solve that checks the HSC PGF flow, a tight DOP853 BDS grid, the out-of-place PGF grid
 whose bits the in-place one must keep, and the sparse generator and
 scipy-weighted uniformization that check the oracle's stencil."""
 
@@ -158,6 +158,26 @@ def riccati_pgf(model, s1: complex, s2: complex, tol: float = 1e-13) -> complex:
     sol = solve_ivp(rhs, (0.0, model.t), [complex(s1)], method="DOP853", rtol=tol, atol=tol)
     assert sol.success, sol.message
     return sol.y[0, -1] ** j * (1.0 + (s2 - 1.0) * np.exp(-mu * model.t)) ** k
+
+
+def dop853_bds_grid(model, n: int, tol: float = 1e-13) -> np.ndarray:
+    """Columns 0..N/2 of the BDS model's N x N PGF grid, one column per s2 as
+    models.pgf_block takes them, each the type-1 backward equation for every s1
+    as one system solved by scipy's DOP853 at rtol = atol = tol, then
+    phi1^j phi01^k."""
+    half, rates, (j, k) = n // 2 + 1, model.rates, model.init
+    s1, s2 = np.exp(2j * np.pi * np.arange(n) / n), np.exp(2j * np.pi * np.arange(half) / n)
+    g, sg, d = rates.gamma, rates.sigma, rates.delta
+    grid = np.empty((n, half), dtype=complex)
+    for col, v in enumerate(s2):
+        def rhs(tau, phi):
+            p01 = models.bds_phi01(tau, v, rates)
+            return g * phi * p01 + sg * p01 + d - (g + sg + d) * phi
+
+        sol = solve_ivp(rhs, (0.0, model.t), s1, method="DOP853", rtol=tol, atol=tol)
+        assert sol.success, sol.message
+        grid[:, col] = sol.y[:, -1] ** j * models.bds_phi01(model.t, v, rates) ** k
+    return grid
 
 
 def out_of_place_grid(model, n: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from helpers import dense_sweep, fista_gradient, recover_states, smooth_value
 # Tight stopping used where a run must reach the low-error plateau regardless
 # of the stepsize (large beta converges slowly, so the shipped defaults would
 # stop it mid-transient).
-TIGHT = dict(eps_abs=1e-5, eps_rel=1e-6, d1_exp=2, d2_exp=2, max_iter=30000)
+TIGHT = dict(eps_abs=1e-5, eps_rel=1e-6, max_iter=30000)
 
 
 def _measurements(full, n, m, seed):
@@ -99,8 +99,7 @@ def test_criterion_4_recovery_accuracy_at_benchmark_scale(hsc64_full, hsc64_trut
     assert default_m(n, DEFAULT_SPARSITY_K) == m
     ms = _measurements(hsc64_full, n, m, seed=0)
     cfg = admm_defaults("hsc", n, m)
-    assert (cfg.beta, cfg.eps_abs, cfg.eps_rel) == (0.08, 1e-2, 1e-3)
-    assert (cfg.d1_exp, cfg.d2_exp) == (2, 5)
+    assert (cfg.beta, cfg.eps_abs, cfg.eps_rel) == (0.08, 1e-3, 1e-3)
     assert cfg.lam == pytest.approx(0.5 * math.log(m))
     report = recover(ms, cfg)
     err = rel_l2_error(report.s_hat, hsc64_truth)

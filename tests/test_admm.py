@@ -196,8 +196,8 @@ class TestRecovery:
         full = full_measurements(model, n)
         truth = invert_full(full)
         ms = MeasurementSet(n=n, indices=np.arange(n), b=full)
-        cfg = AdmmConfig(beta=0.1, lam=0.0, eps_abs=1e-12, eps_rel=1e-12,
-                         d1_exp=1, d2_exp=1, max_iter=2000)
+        # eps_abs / N: an absolute floor of N eps, as N^2 multiplies eps_abs
+        cfg = AdmmConfig(beta=0.1, lam=0.0, eps_abs=1e-12 / n, eps_rel=1e-12, max_iter=2000)
         report = recover(ms, cfg)
         assert np.max(np.abs(report.s_hat - truth)) < 1e-8
 
@@ -248,6 +248,21 @@ class TestRecovery:
         assert last.s_norm <= last.eps_dual
 
 
+@pytest.mark.parametrize("kind, n, sweeps, err", [
+    ("hsc", 64, 19, 0.00284), ("hsc", 128, 24, 0.00270), ("hsc", 256, 278, 0.00719),
+    ("bds", 64, 31, 0.00208), ("bds", 128, 23, 0.00297), ("bds", 256, 71, 0.00385),
+    ("bds", 512, 347, 0.00255)])
+def test_each_preset_row_stops_where_pinned(hsc_model, bds_model, kind, n, sweeps, err):
+    # seed 0, with the error against the exact S; test_cs_hsc_512_is_pinned pins HSC 512
+    full = full_measurements(hsc_model if kind == "hsc" else bds_model, n)
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    idx = sample_indices(n, m, 0)
+    ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
+    report = recover(ms, admm_defaults(kind, n, m))
+    assert (report.converged, report.iterations) == (True, sweeps)
+    assert float(f"{rel_l2_error(report.s_hat, invert_full(full)):.3g}") == err
+
+
 class TestThreads:
     """Row blocks fix the arithmetic: the rows a sweep makes together, and the
     order of its sums, cannot change an iterate."""
@@ -288,8 +303,8 @@ def iterate_loop(ms, cfg, s_true=None, target=None):
         state, rec = iterate(state, emb, mhat, cfg)
         history.append(rec)
         converged = converged or (residual_check(rec)
-                                  and rec.r_norm <= cfg.min_drop * history[0].r_norm
-                                  and rec.s_norm <= cfg.min_drop * history[0].s_norm)
+                                  and rec.r_norm <= admm._MIN_DROP * history[0].r_norm
+                                  and rec.s_norm <= admm._MIN_DROP * history[0].s_norm)
         done = (rel_l2_error(np.real(state.u) / n**2, s_true) <= target
                 if s_true is not None else converged)
         if done:
@@ -297,14 +312,19 @@ def iterate_loop(ms, cfg, s_true=None, target=None):
     return np.real(state.u) / n**2, history, converged
 
 
-def assert_same_run(report, loop):
+def assert_same_run(report, loop, cfg):
     # the dense step rounds apart from the sweep: s_hat to 1e-12 of its largest entry
     s_hat, history, converged = loop
     assert np.max(np.abs(report.s_hat - s_hat)) <= 1e-12 * np.max(np.abs(s_hat))
     assert (report.iterations, report.converged) == (len(history), converged)
     for a, b in zip(report.history, history):
-        for name in ("r_norm", "s_norm", "eps_pri", "eps_dual"):
+        for name in ("r_norm", "s_norm", "eps_pri"):
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0.0)
+        # the sweep's ||Y_k||^2 is ||F_k||^2 less sums over the support, where Y_k / beta
+        # = F_k - (Z_k - Z_{k-1}); so near Y_k = 0 (exactly 0 in the dense step at lam = 0)
+        # ||Y_k|| keeps about sqrt(machine eps) of beta ||F_k||, which is about s_norm
+        assert a.eps_dual == pytest.approx(b.eps_dual, rel=1e-12,
+                                           abs=1e-7 * cfg.eps_rel * b.s_norm)
 
 
 class TestSparseSweep:
@@ -315,14 +335,14 @@ class TestSparseSweep:
         ms, _ = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=0.0, max_iter=40)
         loop = iterate_loop(ms, cfg)
-        assert_same_run(recover(ms, cfg), loop)
+        assert_same_run(recover(ms, cfg), loop, cfg)
 
     def test_empty_support(self, small_blocks):
         ms, _ = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=1e6, max_iter=25)
         s_hat, history, converged = loop = iterate_loop(ms, cfg)
         assert all(rec.s_norm == 0.0 for rec in history)  # Z never leaves zero
-        assert_same_run(recover(ms, cfg), loop)
+        assert_same_run(recover(ms, cfg), loop, cfg)
 
     def test_dense_first_sweep_at_hsc_256(self, hsc_model, small_blocks):
         n = 256
@@ -335,14 +355,14 @@ class TestSparseSweep:
         first, _ = iterate(AdmmState(u=zeros, z=zeros, y=zeros), embed_measurements(ms),
                            build_mhat(n, idx, cfg.beta), cfg)
         assert np.count_nonzero(first.z) > n * n // 2
-        assert_same_run(recover(ms, cfg), iterate_loop(ms, cfg))
+        assert_same_run(recover(ms, cfg), iterate_loop(ms, cfg), cfg)
 
     def test_recover_to_error_stops_where_the_dense_error_does(self, small_blocks):
         ms, truth = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=400)
         report = recover_to_error(ms, cfg, truth, target=0.05)
         assert 1 < report.iterations < cfg.max_iter
-        assert_same_run(report, iterate_loop(ms, cfg, truth, 0.05))
+        assert_same_run(report, iterate_loop(ms, cfg, truth, 0.05), cfg)
 
     def test_residuals_match_the_dense_formulas(self, small_blocks):
         # the sums over Z's support and over the union of two supports
@@ -356,8 +376,8 @@ class TestSparseSweep:
             new, rec = iterate(state, emb, mhat, cfg)
             want = ResidualRecord(
                 k=state.k + 1, r_norm=norm(new.u - new.z), s_norm=cfg.beta * norm(new.z - state.z),
-                eps_pri=32**cfg.d1_exp * cfg.eps_abs + cfg.eps_rel * max(norm(new.u), norm(new.z)),
-                eps_dual=32**cfg.d2_exp * cfg.eps_abs + cfg.eps_rel * norm(new.y))
+                eps_pri=32**2 * cfg.eps_abs + cfg.eps_rel * max(norm(new.u), norm(new.z)),
+                eps_dual=32**2 * cfg.eps_abs + cfg.eps_rel * norm(new.y))
             assert rec.k == want.k
             for name in ("r_norm", "s_norm", "eps_pri", "eps_dual"):
                 assert getattr(rec, name) == pytest.approx(getattr(want, name), rel=1e-12)

@@ -309,6 +309,20 @@ class TestExitCodes:
                          "--n", "32", "--m", "20", "--truth", str(path)]) == 1
         assert not (tmp_path / "S_hat.bpm").exists()  # rejected before the solve
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 0.0], ids=["nan", "inf", "all-zero"])
+    def test_a_truth_with_no_finite_error_is_usage_error(self, hsc_config, tmp_path, capsys,
+                                                         monkeypatch, entry):
+        # eps_rel_l2 would be nan or inf, and manifest.json would hold NaN or Infinity
+        truth = tmp_path / "truth.bpm"
+        s = np.zeros((16, 16))
+        s[3, 4] = entry
+        write_matrix(truth, s)
+        monkeypatch.setattr(cli, "sampled_measurements", None)  # rejected before any PGF work
+        assert main(["recover", "--config", hsc_config, "--out-dir", str(tmp_path),
+                     "--n", "16", "--truth", str(truth)]) == 1
+        assert "--truth" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2"],
         ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:3:4:log"],

@@ -25,7 +25,9 @@ from branchcs.grid import (
     sampled_ifft2,
     sampled_measurements,
 )
-from helpers import fft2_rows, out_of_place_grid
+from branchcs.models import ModelSpec, RatesBDS
+from conftest import BDS_RATES
+from helpers import dop853_bds_grid, fft2_rows, out_of_place_grid
 
 
 class TestFullGrid:
@@ -52,6 +54,16 @@ class TestFullGrid:
     def test_grid_keeps_the_out_of_place_bits(self, hsc_model, bds_model, kind, n, init):
         model = dataclasses.replace(hsc_model if kind == "hsc" else bds_model, init=init)
         assert full_measurements(model, n).tobytes() == out_of_place_grid(model, n).tobytes()
+
+    @pytest.mark.parametrize("rates, t, init", [
+        (BDS_RATES, 0.35, (1, 0)),
+        (RatesBDS(gamma=0.5, sigma=0.1, delta=0.5), 5.0, (2, 3)),
+        (RatesBDS(gamma=1.0, sigma=0.1, delta=0.2), 10.0, (1, 0))])
+    def test_bds_grid_is_within_2e_10_of_dop853(self, rates, t, init):
+        # the paper's rates, critical rates at long t, and supercritical rates at longer t
+        model = ModelSpec(kind="bds", rates=rates, t=t, init=init)
+        err = np.abs(full_measurements(model, 64)[:, :33] - dop853_bds_grid(model, 64)).max()
+        assert err <= 2e-10
 
     def test_corner_is_normalization_point(self, hsc64_full):
         # node (0, 0) evaluates the PGF at (1, 1)

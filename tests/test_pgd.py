@@ -104,8 +104,9 @@ class TestPgdRecovery:
         # their solutions must agree far beyond the recovery error level
         ms, _ = toy_measurements(8, 6, 0)
         lam = 0.5
-        a = recover(ms, AdmmConfig(beta=0.1, lam=lam, eps_abs=1e-10, eps_rel=1e-10,
-                                   d1_exp=1, d2_exp=1, max_iter=20000))
+        # eps_abs / N: an absolute floor of N eps, as N^2 multiplies eps_abs
+        a = recover(ms, AdmmConfig(beta=0.1, lam=lam, eps_abs=1e-10 / ms.n, eps_rel=1e-10,
+                                   max_iter=20000))
         p = pgd_recover(ms, PgdConfig(lam=lam, max_iter=20000, tol=1e-12))
         assert np.max(np.abs(a.s_hat - p.s_hat)) < 1e-4
 

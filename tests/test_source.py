@@ -1,0 +1,42 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import branchcs
+
+# numpy names that call BLAS or LAPACK, whose threads stall a call while
+# another process holds a core; the sweep, FISTA and rel_l2_error sum with
+# einsum instead
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}
+# the RK45 port, which keeps scipy's np.dot calls for scipy's bits
+BLAS_ALLOWED = {("models.py", "solve_ivp"), ("models.py", "_rms")}
+
+
+def blas_uses(path: Path) -> list:
+    """(file, outermost function or None, line) of each use of a BLAS_NAMES
+    numpy name, or of @, in the module at path."""
+    found = []
+
+    def visit(node, func):
+        if func is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if ((isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+                or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy") and node.attr in BLAS_NAMES)
+                or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                    and ("linalg" in node.module
+                         or any(alias.name in BLAS_NAMES for alias in node.names)))):
+            found.append((path.name, func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_no_blas_outside_the_rk45_port():
+    uses = [use for path in sorted(Path(branchcs.__file__).parent.glob("*.py"))
+            for use in blas_uses(path)]
+    assert not [use for use in uses if use[:2] not in BLAS_ALLOWED]
+    assert {use[:2] for use in uses} == BLAS_ALLOWED  # the walk sees the port's calls
