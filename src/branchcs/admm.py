@@ -17,21 +17,18 @@ N = 512) with Z, D and F there: no N x N grid.
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
 so max_v |F_k[u, v]| is at most their L1 norm, and a row whose bound is at
 most lambda / beta holds no entry off t the prox keeps: a safe screen (El
-Ghaoui et al. 2012).  Where rows take direct sums (below), from N = 256 up at
-the default M, a run carries the bound on to the next sweep (Bonnefoy et al.
-2015): exact on the rows made, else the least of the L1 norm and the last bound
-plus the L1 norm of the row's change, raised to |F_k| where an entry leaves t.
-Only the entries decide how a row is worked: a row that holds few of them
-takes direct sums over them, from an N x M twiddle table made once per run,
-and one that holds more is made by transforms; so the screen changes no bit.
-A sweep does the M column IFFTs of D_k's row IFFTs, forms C_k and does the M
-column FFTs; then, in two phases:
-  1. the rows of F_k whose bound can cross the threshold, and t's dense rows,
-     are made a row block's worth at a time and thresholded at lambda / beta;
-  2. once, over all of p = t and the entries found, F_k at t's other rows and
-     F_{k-1} at the entries found (from C_{k-1}'s kept column transforms), the
-     prox, the sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1}
-     and the row IFFTs of the rows where D_{k+1} is nonzero.
+Ghaoui et al. 2012).  Where rows take direct sums (grid.Support), from N = 256
+up at the default M, a run carries the bound on to the next sweep (Bonnefoy et
+al. 2015): exact on the rows made, else the least of the L1 norm and the last
+bound plus the L1 norm of the row's change, raised to |F_k| where an entry
+leaves t.  A sweep does the M column IFFTs of D_k's row IFFTs, forms C_k and
+does the M column FFTs; then, in two phases:
+  1. grid.screened_fft, the pass FISTA makes its gradient by: p, t then the
+     entries off t where |F_k| > lambda / beta, and F_k there;
+  2. once, over all of p, F_{k-1} at the entries found (from C_{k-1}'s kept
+     column transforms, by the same pass with nothing to find), the prox, the
+     sums of squares (Parseval's ||F||^2 = N^2 ||C||^2 off p), D_{k+1} and the
+     row IFFTs of the rows where D_{k+1} is nonzero (Support.iffts).
 s_hat = Re(U_k) / N^2, U_k = FFT2(C_k - C_{k-1}) + D_k, is written when a run
 stops and at each stop recover_to_error confirms: one column FFT of C_k - C_{k-1},
 then a row block's worth of U_k's rows at a time in the run's row buffer, D_k
@@ -46,15 +43,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (MeasurementSet, Subgrid, _fft_points, _groups, _places, _point_iffts,
-                   _row_iffts, _row_l1, _screen, column_fft, column_ifft, fft_rows,
-                   rel_l2_error, row_blocks, sampled_ifft2)
+from .grid import (_NONE, MeasurementSet, RowBlocks, Subgrid, Support, _row_l1, _screen,
+                   column_fft, column_ifft, fft_rows, rel_l2_error, row_blocks, sampled_ifft2,
+                   screened_fft)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -65,23 +60,13 @@ __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mh
 # IFFT2(D), whose row half ran at the end of the last sweep
 _fft2 = column_fft
 _ifft2 = column_ifft
-# and so tests can choose the rows of F_k a sweep makes
-_made_rows = _screen
-
-# Direct sums over a row's entries cost M operations an entry each way, and the
-# row's transforms about N log2 N.  A row takes them when it holds at most
-# N log2 N / (_DIRECT_COST M) entries: at the default M none does at N <= 128,
-# where a sweep costs its numpy calls more than its rows, and a run that takes
-# no direct sums carries no bound either, for the same reason.
-_DIRECT_COST = 16
 
 # Both residuals must also fall below _MIN_DROP times their first-sweep values
 # before a run has converged: the tolerances alone fire mid-descent, well
 # before the low-error plateau.
 _MIN_DROP = 1e-2
 
-_NONE = np.empty(0, dtype=np.intp)
-_EMPTY = (np.empty(0, dtype=complex),) * 3
+_EMPTY = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,22 +106,11 @@ class AdmmState:
 @dataclass(frozen=True, eq=False)
 class _SweepConstants:
     """What every sweep of a run shares: beta, the Subgrid of J (sorted) and
-    B / (beta + 1) on J x J; and direct_max, the most entries a row may hold
-    and take direct sums rather than transforms (_DIRECT_COST)."""
+    B / (beta + 1) on J x J."""
 
     beta: float
     sub: Subgrid
     b_j: np.ndarray
-
-    @cached_property
-    def direct_max(self) -> int:
-        n = self.sub.n
-        return int(n * math.log2(n)) // (_DIRECT_COST * max(len(self.sub.j), 1))
-
-    def dense(self, row: np.ndarray) -> np.ndarray:
-        """Per grid row, whether it holds more than direct_max of the entries in
-        rows row, and so is made by transforms."""
-        return np.bincount(row, minlength=self.sub.n) > self.direct_max
 
     @classmethod
     def of_measurements(cls, ms: MeasurementSet, beta: float) -> _SweepConstants:
@@ -146,62 +120,25 @@ class _SweepConstants:
         return cls(beta, Subgrid(ms.n, np.asarray(ms.indices)[order]), b_j)
 
 
-class _Support(NamedTuple):
-    """Sorted flat grid indices, their rows, and there the values of Z, D and the
-    F grid of the sweep that made them; dense, per row, whether it holds more
-    than direct_max of the indices, so that its transforms are made; and direct,
-    the places of the indices in the other rows, with their rows and columns,
-    where direct sums stand in for the transforms."""
-
-    idx: np.ndarray
-    row: np.ndarray
-    z: np.ndarray
-    d: np.ndarray
-    f: np.ndarray
-    dense: np.ndarray
-    direct: np.ndarray = _NONE
-    direct_row: np.ndarray = _NONE
-    direct_col: np.ndarray = _NONE
-
-    @classmethod
-    def of(cls, const: _SweepConstants, idx: np.ndarray, z: np.ndarray, d: np.ndarray,
-           f: np.ndarray) -> _Support:
-        n = const.sub.n
-        row = idx // n
-        dense = const.dense(row)  # a sweep's one count
-        direct = np.logical_not(dense.take(row)).nonzero()[0] if const.direct_max else _NONE
-        if not len(direct):
-            return cls(idx, row, z, d, f, dense)
-        at, at_row = idx.take(direct), row.take(direct)
-        return cls(idx, row, z, d, f, dense, direct, at_row, at - at_row * n)
-
-    def iffts(self, sub: Subgrid, scratch: _RowBlocks, g: np.ndarray) -> None:
-        """D's row IFFTs gathered at columns J into g (M x N): transforms of the
-        dense rows, direct sums at the other entries."""
-        if len(self.direct) < len(self.idx):  # _row_iffts zeroes the other rows
-            on = self.dense.take(self.row) if len(self.direct) else slice(None)
-            _row_iffts(self.idx[on], self.row[on], self.d[on], sub, scratch.u, g)
-        else:
-            g.fill(0)
-        if len(self.direct):
-            _point_iffts(self.direct_row, self.direct_col, self.d.take(self.direct), sub, g)
-
-
 @dataclass(frozen=True, eq=False)
 class _SweepForm:
     """The state after sweep k as sweep k + 1 reads it: C_k and C_{k-1}, and
-    cols, the column transforms of C_k; z, where Z_k or Z_{k-1}
-    is not 0, with Z_k, D_{k+1} and F_k there, and z_prev, the z of sweep k - 1,
-    whose d is D_k; g, D_{k+1}'s row IFFTs gathered at columns J, as an M x N
+    cols, the column transforms of C_k; t, where Z_k or Z_{k-1} is not 0, with
+    Z_k, D_{k+1} and F_k there (z, d, f), and t_prev and d_prev, sweep k - 1's t
+    and D_k on it; g, D_{k+1}'s row IFFTs gathered at columns J, as an M x N
     array; k; row_ffts, the rows of F made so far; and bound, per row u at least
-    max |F_k[u, v]| over v off z (None before the first sweep, and in runs that
+    max |F_k[u, v]| over v off t (None before the first sweep, and in runs that
     take no direct sums)."""
 
     c: np.ndarray
     c_prev: np.ndarray
     cols: np.ndarray
-    z: _Support
-    z_prev: _Support
+    t: Support
+    z: np.ndarray
+    d: np.ndarray
+    f: np.ndarray
+    t_prev: Support
+    d_prev: np.ndarray
     g: np.ndarray
     k: int
     row_ffts: int = 0
@@ -211,18 +148,9 @@ class _SweepForm:
     def zero(cls, const: _SweepConstants) -> _SweepForm:
         """The form a run starts from: C, Z and D all 0."""
         n, m = const.sub.n, len(const.sub.j)
-        c, none = np.zeros((m, m), dtype=complex), _Support.of(const, _NONE, *_EMPTY)
-        return cls(c, c, np.zeros((n, m), dtype=complex), none, none,
-                   np.zeros((m, n), dtype=complex), 0)
-
-
-class _RowBlocks:
-    """Buffers for a row block's worth of rows, kept for the run so no sweep
-    allocates a grid."""
-
-    def __init__(self, sub: Subgrid):
-        h, n = len(sub.flat), sub.n
-        self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
+        c, none = np.zeros((m, m), dtype=complex), Support.of(const.sub, _NONE)
+        return cls(c, c, np.zeros((n, m), dtype=complex), none, _EMPTY, _EMPTY, _EMPTY,
+                   none, _EMPTY, np.zeros((m, n), dtype=complex), 0)
 
 
 @dataclass(frozen=True)
@@ -337,7 +265,7 @@ def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
     bound = _row_l1(cols)
     if s.bound is None:
         return bound
-    above = _made_rows(bound, tau).nonzero()[0]
+    above = _screen(bound, tau).nonzero()[0]
     if len(above):
         step = np.subtract(cols.take(above, 0), s.cols.take(above, 0))
         carried = _row_l1(step) + s.bound.take(above)
@@ -345,85 +273,32 @@ def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
     return bound
 
 
-def _fft_at(cols: np.ndarray, idx: np.ndarray, const: _SweepConstants,
-            scratch: _RowBlocks) -> tuple[np.ndarray, int]:
-    """Entries idx (sorted flat) of the FFT2 whose column transforms are cols, and
-    how many rows were made: those that hold more than direct_max of the entries,
-    a row block's worth at a time; direct sums give the rest."""
-    sub, n = const.sub, const.sub.n
-    row = idx // n
-    dense = const.dense(row)
-    on = dense.take(row)
-    out = np.empty(len(idx), dtype=complex)
-    at = on.nonzero()[0]
-    at_row = row.take(at)
-    groups = _groups(dense, len(scratch.u))
-    for rows in groups:
-        lo, hi = at_row.searchsorted((rows[0], rows[-1] + 1))
-        some = at[lo:hi]
-        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)])
-        out[some] = v.reshape(-1).take(_places(rows, idx.take(some), row.take(some), n))
-    off = np.logical_not(on, out=on).nonzero()[0]
-    if len(off):
-        off_row = row.take(off)
-        out[off] = _fft_points(cols, off_row, idx.take(off) - off_row * n, sub)
-    return out, sum(map(len, groups))
-
-
-def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _RowBlocks,
+def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: RowBlocks,
            g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
     """Sweep k = s.k + 1: the new form, its residual record, and what
     _error_from_sums takes the error from: (C_k - C_{k-1}, ||U_k||^2,
     Re sum_t D_k (2A + D_k)).  D_{k+1}'s row IFFTs go in g_out (it may be s.g).
-    Phase 1 makes rows of F_k a row block at a time; phase 2 works on p once."""
+    Phase 1 is the screened pass over F_k; phase 2 works on p once."""
     beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
-    n, k, h, t = sub.n, s.k + 1, len(scratch.u), s.z  # t: Z_{k-1}, D_k
-    carry = const.direct_max > 0  # the bound goes on to the next sweep
+    n, k, t, m = sub.n, s.k + 1, s.t, len(s.t.idx)  # t: Z_{k-1}, D_k
+    # the bound goes on to the next sweep where rows take direct sums: below that
+    # size (N <= 128 at the default M) a sweep costs its numpy calls more than its rows
+    carry = sub.direct_max > 0
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
     c = const.b_j - (_ifft2(s.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
     cols = _fft2(c, sub)
-    # Phase 1: the rows of F_k whose bound can cross tau, and t's dense rows
+    # Phase 1: p is t then where |V| > tau off t (V = F_k + Z_{k-1} = F_k there)
     bound = _bound(cols, s, tau)
-    need = _made_rows(bound, tau)
-    need |= t.dense
-    on_idx, on_row = t.idx, t.row  # t's entries in the rows made
-    if len(t.direct):
-        on = need.take(t.row).nonzero()[0]
-        on_idx, on_row = t.idx.take(on), t.row.take(on)
-
-    def grid_work(rows):  # a group of the rows of F_k, and where |V| > tau off t in them
-        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)])
-        lo, hi = on_row.searchsorted((rows[0], rows[-1] + 1))
-        on_t = _places(rows, on_idx[lo:hi], on_row[lo:hi], n)  # t's places in v
-        # V = F_k + Z_{k-1} = F_k off t
-        re = np.abs(v, out=scratch.re[:len(rows)])
-        flat = re.reshape(-1)
-        flat[on_t] = 0
-        hit = np.greater(flat, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
-        if carry:  # exact off t and what is found, which joins it
-            flat[hit] = 0
-            bound[rows] = np.maximum.reduce(re, axis=1)
-        slot, col = np.divmod(hit, n)
-        v = v.reshape(-1)
-        return rows[slot] * n + col, v.take(on_t), v.take(hit)
-
-    parts = [grid_work(rows) for rows in _groups(need, h)]
-    # Phase 2: p is t then found, each sorted; F_{k-1} at found from C_{k-1}'s transforms
-    p, m = np.concatenate([t.idx] + [part[0] for part in parts]), len(t.idx)
-    f_prev, remade = _fft_at(s.cols, p[m:], const, scratch)
-    on_p = np.empty((8, len(p)), dtype=complex)  # rows, each the values of one vector at p
-    e, d, dz, d_next, x1, a, w, f = on_p
-    x1[:m], d[:m] = t.z, t.d  # Z_{k-1} and D_k at p
+    p, f, made = screened_fft(cols, t, bound, tau, sub, scratch)
+    # Phase 2: F_{k-1} at the entries found, from C_{k-1}'s transforms (a pass
+    # that looks for nothing: no row's bound, 0, can cross an infinite tau)
+    _, f_prev, remade = screened_fft(s.cols, Support.of(sub, p[m:]), np.zeros(n), math.inf,
+                                     sub, scratch)
+    on_p = np.empty((7, len(p)), dtype=complex)  # rows, each the values of one vector at p
+    e, d, dz, d_next, x1, a, w = on_p
+    x1[:m], d[:m] = s.z, s.d  # Z_{k-1} and D_k at p
     x1[m:], d[m:] = 0, 0
-    # F_k on t: direct sums in the rows that hold few of t, else the rows made
-    if len(t.direct):
-        np.concatenate([_EMPTY[0]] + [part[2] for part in parts], out=f[m:])
-        f[:m][on] = np.concatenate([_EMPTY[0]] + [part[1] for part in parts])
-        f[:m][t.direct] = _fft_points(cols, t.direct_row, t.direct_col, sub)
-    else:
-        np.concatenate([_EMPTY[0]] + [part[1] for part in parts] + [part[2] for part in parts],
-                       out=f)
-    np.concatenate((t.f, f_prev), out=a)
+    np.concatenate((s.f, f_prev), out=a)
     np.subtract(f, a, out=a)  # A = F_k - F_{k-1}
 
     z = soft_threshold(np.add(f, x1, out=e), tau)  # Z_k at p: 0 where |V| <= tau
@@ -438,23 +313,22 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: _Row
     rr, uu, yy = _real_inners(on_p[0:3], on_p[4:7])  # (E, D_k, Z_k - Z_{k-1}) against these
     np.add(dz, z, out=d_next)  # D_{k+1} = (Z_k - Z_{k-1}) + Z_k
     keep = np.logical_or(z != 0, dz != 0)  # where Z_k or Z_{k-1} is not 0
-    kept = keep.nonzero()[0]
+    new, kept = Support.kept(sub, p, m, keep)
     if carry and len(kept) < len(p):  # the bound rises to |F_k| where p leaves t
         gone = np.logical_not(keep, out=keep).nonzero()[0]
         np.maximum.at(bound, p.take(gone) // n, np.abs(f.take(gone)))
-    if len(p) > m:  # t's and found's kept entries: two sorted runs to merge
-        kept = kept[np.argsort(p[kept], kind="stable")]
-    new = _Support.of(const, p[kept], z[kept], d_next[kept], f[kept])
-    new.iffts(sub, scratch, g_out)
+    d_new = d_next.take(kept)
+    new.iffts(d_new, sub, scratch, g_out)
+    z_new = z.take(kept)
     n2 = float(n * n)
     delta_c = c - s.c
     dc = n2 * _sum_squares(delta_c)  # ||F_k - F_{k-1}||^2 by Parseval
     sums = (rr + dc, _sum_squares(dz), uu + dc, _sum_squares(z),
             beta**2 * (yy + n2 * _sum_squares(c)))
     # F_k's rows not made are finite: they are at most tau
-    rec = _record(k, n, cfg, sums, cols, new.z)
-    row_ffts = s.row_ffts + int(np.count_nonzero(need)) + remade
-    return (_SweepForm(c, s.c, cols, new, t, g_out, k, row_ffts, bound if carry else None),
+    rec = _record(k, n, cfg, sums, cols, z_new)
+    return (_SweepForm(c, s.c, cols, new, z_new, d_new, f.take(kept), t, s.d, g_out, k,
+                       s.row_ffts + made + remade, bound if carry else None),
             rec, (delta_c, sums[2], ud))
 
 
@@ -514,8 +388,8 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
 
 
 def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
-    """rel_error(t, dC, uu, ud), the error of real(U_k)/N^2 against a real truth S
-    from _sweep's sums and t, D_k's support: with dC = C_k - C_{k-1}, U_k = A + D_k
+    """rel_error(t, d, dC, uu, ud), the error of real(U_k)/N^2 against a real truth S
+    from _sweep's sums and D_k, d on its support t: with dC = C_k - C_{k-1}, U_k = A + D_k
     and A = FFT2(dC) = F_k - F_{k-1}, ||Re U||^2 = (||U||^2 + Re sum U^2) / 2, where
     sum U^2 = N^2 sum dC(j) dC(-j) over the j with -j in J x J, plus
     sum_t D_k (2A + D_k), and <U, S> = sum_{J x J} dC FFT2(S) + sum_t D_k S."""
@@ -525,26 +399,26 @@ def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
     pos = (j[at] == (n - j) % n).nonzero()[0]  # the places in J of the j whose -j is in J
     pos, neg = np.ix_(pos, pos), np.ix_(at[pos], at[pos])  # and of their -j
 
-    def rel_error(t: _Support, dc: np.ndarray, uu: float, ud: float) -> float:
+    def rel_error(t: Support, d: np.ndarray, dc: np.ndarray, uu: float, ud: float) -> float:
         usq = n**2 * _real_inner(np.conj(dc[pos]), dc[neg]) + ud  # Re sum U^2
-        us = _real_inner(fs, dc) + _real_inner(t.d.real, flat.take(t.idx))  # Re <U, S>
+        us = _real_inner(fs, dc) + _real_inner(d.real, flat.take(t.idx))  # Re <U, S>
         return math.sqrt(max(0.5 * (uu + usq) / n**4 - 2.0 * us / n**2 + ss, 0.0) / ss)
     return rel_error
 
 
-def _write_s_hat(s: _SweepForm, sub: Subgrid, scratch: _RowBlocks,
+def _write_s_hat(s: _SweepForm, sub: Subgrid, scratch: RowBlocks,
                  out: np.ndarray | None) -> tuple[np.ndarray, float]:
     """s_hat = Re(U_k) / N^2 of the form s of sweep k into out, or else a new float
     grid, and max |Im U_k| / N^2: U_k = FFT2(C_k - C_{k-1}) + D_k is made a row
     block's worth of rows at a time in scratch, from one column FFT."""
-    n, t = sub.n, s.z_prev  # t: D_k's support
+    n, t, d = sub.n, s.t_prev, s.d_prev  # D_k on its support
     out = np.empty((n, n)) if out is None else out
     n2, step = float(n * n), column_fft(s.c - s.c_prev, sub)
     imag = []  # per block, max Im U and -min Im U
     for rows in row_blocks(n):
         u = fft_rows(step[rows], sub, scratch.u[:rows.stop - rows.start])
         lo, hi = t.idx.searchsorted((rows.start * n, rows.stop * n))
-        u.reshape(-1)[t.idx[lo:hi] - rows.start * n] += t.d[lo:hi]
+        u.reshape(-1)[t.idx[lo:hi] - rows.start * n] += d[lo:hi]
         np.divide(u.real, n2, out=out[rows])
         imag += u.imag.max(), -u.imag.min()
     return out, float(np.max(imag)) / n2
@@ -556,7 +430,7 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     it until the stopping rule holds; converged says if that rule held at any sweep.
     A stop at target is confirmed on the s_hat it writes, as rounding can differ."""
     const = _SweepConstants.of_measurements(ms, cfg.beta)
-    scratch = _RowBlocks(const.sub)
+    scratch = RowBlocks(const.sub)
     error = None if s_true is None else _error_from_sums(s_true, const.sub)
     history: list[ResidualRecord] = []
     converged, reason, made = False, "max_iter", 0  # made: rows made to write s_hat
@@ -573,7 +447,7 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
             if converged:
                 reason = "tolerance"
                 break
-        elif error(s.z_prev, *sums) <= target:
+        elif error(s.t_prev, s.d_prev, *sums) <= target:
             (s_hat, max_imag), made = _write_s_hat(s, const.sub, scratch, s_hat), made + ms.n
             if rel_l2_error(s_hat, s_true) <= target:
                 reason = "error_target"

@@ -103,10 +103,18 @@ def _solver(args, kind: str, n: int, m: int):
     return pgd.pgd_recover, pgd.PgdConfig(lam=lam, max_iter=args.max_iter)
 
 
+def _check_format(args, side: int) -> None:
+    """ValueError if --format csv cannot hold a side x side matrix (matio's limit)."""
+    if args.format == "csv" and side > matio.CSV_MAX_SIDE:
+        raise ValueError(f"--format csv is limited to {matio.CSV_MAX_SIDE}x{matio.CSV_MAX_SIDE}, "
+                         f"got {side}x{side}; use --format bin")
+
+
 # Each command validates its arguments before computing anything and returns
 # (manifest fields, stdout line); main does the rest.
 
 def cmd_solve(args, model, out_dir: Path) -> tuple[dict, str]:
+    _check_format(args, args.n)
     s = invert_full(full_measurements(model, args.n))
     s_path = _write_matrix(out_dir / "S_full", s, args.format)
     fields = {"n": args.n, "pgf_evals": args.n * args.n, "outputs": [str(s_path)],
@@ -116,6 +124,7 @@ def cmd_solve(args, model, out_dir: Path) -> tuple[dict, str]:
 
 def cmd_recover(args, model, out_dir: Path) -> tuple[dict, str]:
     n, m = args.n, _m_or_default(args)
+    _check_format(args, n)
     s_true = matio.read_matrix(args.truth) if args.truth else None
     if s_true is not None and s_true.shape != (n, n):
         raise ValueError(f"--truth {args.truth} has shape {s_true.shape}, expected {(n, n)}")
@@ -227,6 +236,7 @@ def cmd_bench(args, model, out_dir: Path) -> tuple[dict, str]:
 
 
 def cmd_oracle(args, model, out_dir: Path) -> tuple[dict, str]:
+    _check_format(args, args.n_trunc)
     result = oracle_transition_matrix(model, args.n_trunc, tol=args.tol)
     s_path = _write_matrix(out_dir / "S_oracle", result.probs, args.format)
     fields = {"n_trunc": args.n_trunc, "truncation_mass": result.truncation_mass,

@@ -4,6 +4,16 @@ Convention: the forward transform is the unnormalized DFT with kernel
 e^{-2 pi i l u / N} (numpy fft2); the 1/N^2 factor is applied exactly once:
 by the inverse transforms in invert_full (the two passes of irfft2), and where
 a solver writes s_hat, Re(U) / N^2 for ADMM and Re(S) / N^2 for FISTA.
+
+Both solvers make FFT2 of an M x M block on J x J (F for ADMM, the gradient for
+FISTA) through the restricted transforms here: M column transforms (column_fft),
+then rows of the grid only as they are needed (fft_rows).  A solver's sparse
+iterate sits on a Support, sorted flat indices and, per grid row, whether the
+row holds enough of them to be worked by transforms or takes direct sums over
+its entries (_DIRECT_COST); screened_fft is the one pass both make F at their
+support by, and finds the entries off it above a threshold, making only the
+rows whose L1 bound can cross it (El Ghaoui et al. 2012).  Only the support
+decides how a row is worked, so the screen changes no bit.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +34,9 @@ __all__ = [
     "check_grid_size",
     "row_blocks",
     "Subgrid",
+    "RowBlocks",
+    "Support",
+    "screened_fft",
     "full_measurements",
     "invert_full",
     "sampled_ifft2",
@@ -114,10 +128,18 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
+# Direct sums over a row's entries cost M operations an entry each way, and the
+# row's transforms about N log2 N.  A row takes them when it holds at most
+# N log2 N / (_DIRECT_COST M) of a support's entries: at the default M none
+# does at N <= 128.
+_DIRECT_COST = 16
+
+_NONE = np.empty(0, dtype=np.intp)
+
+
 class Subgrid:
     """An index set J of an n x n grid and the flat positions of columns J in a
-    row block's worth of rows, which the row transforms scatter through.  Made
-    once and passed as indices, it saves rederiving them on every call."""
+    row block's worth of rows, which the row transforms scatter through."""
 
     def __init__(self, n: int, indices):
         self.n = n
@@ -126,10 +148,11 @@ class Subgrid:
             raise ValueError(f"indices must be a 1-d array of values in [0, {n})")
         self.flat = n * np.arange(row_blocks(n)[0].stop)[:, None] + self.j
 
-    @classmethod
-    def of(cls, n: int | None, indices) -> Subgrid:
-        """indices itself if it is a Subgrid, else the Subgrid of it in an n x n grid."""
-        return indices if isinstance(indices, cls) else cls(n, indices)
+    @cached_property
+    def direct_max(self) -> int:
+        """The most entries of a support a row may hold and take direct sums
+        rather than transforms (_DIRECT_COST)."""
+        return int(self.n * math.log2(self.n)) // (_DIRECT_COST * max(len(self.j), 1))
 
     @cached_property
     def twiddles(self) -> np.ndarray:
@@ -140,33 +163,26 @@ class Subgrid:
         return w[np.multiply.outer(np.arange(self.n), self.j) % self.n]
 
 
-def sampled_ifft2(x, indices=None) -> np.ndarray:
-    """IFFT2(x)[J, J] by N row then M column transforms; plain ifft2 if indices is None.
-    indices is J, or a Subgrid of it."""
-    if indices is None:
-        return np.fft.ifft2(x)
-    sub = Subgrid.of(len(x), indices)
+def sampled_ifft2(x, sub: Subgrid) -> np.ndarray:
+    """IFFT2(x)[J, J] by N row then M column transforms."""
     return column_ifft(np.fft.ifft(x, axis=1)[:, sub.j], sub)
 
 
-def column_ifft(cols: np.ndarray, indices=None) -> np.ndarray:
+def column_ifft(cols: np.ndarray, sub: Subgrid | None = None) -> np.ndarray:
     """IFFT2(x)[J, J] from cols, the N x M row IFFTs of x gathered at columns J:
-    the M column transforms that finish sampled_ifft2.  indices is J, or a
-    Subgrid of it; None means every index.  cols is left as it is."""
+    the M column transforms that finish sampled_ifft2; every row of them if sub
+    is None.  cols is left as it is."""
     w = np.fft.ifft(cols, axis=0)
-    return w if indices is None else w[Subgrid.of(len(cols), indices).j]
+    return w if sub is None else w[sub.j]
 
 
-def column_fft(c, indices=None, n: int | None = None) -> np.ndarray:
+def column_fft(c, sub: Subgrid | None = None) -> np.ndarray:
     """The M column transforms that start FFT2 of c on J x J: c put on rows J of
     an n x M zero array, transformed along axis 0.  Row u of FFT2 of c on J x J is
-    that array's row u put at columns J and transformed (fft_rows).  indices
-    is J, or a Subgrid of it (which gives n); plain fft2 if indices is None."""
-    if indices is None:
+    that array's row u put at columns J and transformed (fft_rows).  Plain fft2
+    if sub is None."""
+    if sub is None:
         return np.fft.fft2(c)
-    if n is None and not isinstance(indices, Subgrid):
-        raise ValueError("the column transforms need the grid size n when indices are given")
-    sub = Subgrid.of(n, indices)
     cols = np.zeros((sub.n, len(sub.j)), dtype=complex)
     cols[sub.j] = c
     return np.fft.fft(cols, axis=0, out=cols)
@@ -216,43 +232,132 @@ def _is_run(rows: np.ndarray) -> bool:
     return rows[-1] - rows[0] == len(rows) - 1
 
 
-def _places(rows: np.ndarray, idx: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
-    """Where the flat grid indices idx, in rows row among the sorted rows, are in
-    a buffer holding those rows packed in order, n entries each."""
-    if len(rows) and _is_run(rows):
+def _places(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """Where the flat grid indices idx, in some of the sorted rows, are in a
+    buffer holding those rows packed in order, n entries each."""
+    if _is_run(rows):
         return idx - rows[0] * n
+    row = idx // n
     return idx + (rows.searchsorted(row) - row) * n
 
 
-def _row_iffts(idx: np.ndarray, row: np.ndarray, values: np.ndarray, sub: Subgrid,
-               buf: np.ndarray, g: np.ndarray) -> int:
-    """The row IFFTs of the grid that holds values at the sorted flat indices idx
-    (in rows row) and 0 elsewhere, gathered at columns J into the columns of g
-    (M x N), of only the rows that hold an index: the others are zeroed.  The
-    rows are packed, in order, len(buf) at a time; returns how many were made."""
-    rows = np.zeros(sub.n, dtype=bool)
-    rows[row] = True
-    g.fill(0)
-    groups = _groups(rows, len(buf))
-    for some in groups:
-        lo, hi = row.searchsorted((some[0], some[-1] + 1))
-        packed = buf[:len(some)]
-        packed.fill(0)
-        packed.reshape(-1)[_places(some, idx[lo:hi], row[lo:hi], sub.n)] = values[lo:hi]
-        y = np.fft.ifft(packed, axis=1, out=packed).T[sub.j]  # columns J of the rows
-        if _is_run(some):
-            g[:, some[0]:some[-1] + 1] = y
-        else:  # by flat indices: an index array on g's second axis is much slower
-            g.reshape(-1)[np.arange(len(sub.j))[:, None] * sub.n + some] = y
-    return sum(map(len, groups))
+class RowBlocks:
+    """Buffers for a row block's worth of rows, kept for a run so that no
+    iteration allocates a grid."""
+
+    def __init__(self, sub: Subgrid):
+        h, n = len(sub.flat), sub.n
+        self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
+
+
+class Support(NamedTuple):
+    """Sorted flat indices of an n x n grid and how a solver works the grid's rows
+    at them: dense, per row, whether it holds more than direct_max of them, so
+    that its transforms are made; and direct, the places of the indices in the
+    other rows, with their rows and columns, where direct sums stand in for the
+    transforms.  A solver keeps the values it has there in arrays aligned with idx."""
+
+    idx: np.ndarray
+    dense: np.ndarray
+    direct: np.ndarray = _NONE
+    direct_row: np.ndarray = _NONE
+    direct_col: np.ndarray = _NONE
+
+    @classmethod
+    def of(cls, sub: Subgrid, idx: np.ndarray) -> Support:
+        row = idx // sub.n
+        dense = np.bincount(row, minlength=sub.n) > sub.direct_max
+        direct = np.logical_not(dense.take(row)).nonzero()[0] if sub.direct_max else _NONE
+        if not len(direct):
+            return cls(idx, dense)
+        at_row = row.take(direct)
+        return cls(idx, dense, direct, at_row, idx.take(direct) - at_row * sub.n)
+
+    @classmethod
+    def kept(cls, sub: Subgrid, p: np.ndarray, m: int,
+             keep: np.ndarray) -> tuple[Support, np.ndarray]:
+        """The Support of the entries of p where keep holds, p being a Support's m
+        indices then other sorted ones (screened_fft's), and their places in p."""
+        kept = keep.nonzero()[0]
+        if len(p) > m:  # two sorted runs to merge
+            kept = kept[np.argsort(p.take(kept), kind="stable")]
+        return cls.of(sub, p.take(kept)), kept
+
+    def _at(self, rows: np.ndarray, n: int, made: np.ndarray) -> tuple[slice, np.ndarray]:
+        """The places in idx of its entries in the sorted rows, each of which made
+        holds, and their places in a buffer holding those rows packed in order:
+        a slice, or where other rows of the span hold entries, an index array."""
+        lo, hi = self.idx.searchsorted((rows[0] * n, (rows[-1] + 1) * n))
+        at = slice(lo, hi)
+        if not _is_run(rows) and len(self.direct):  # rows between may hold direct entries
+            at = lo + made.take(self.idx[at] // n).nonzero()[0]
+        return at, _places(rows, self.idx[at], n)
+
+    def iffts(self, values: np.ndarray, sub: Subgrid, scratch: RowBlocks, g: np.ndarray) -> int:
+        """The row IFFTs of the grid that holds values (aligned with idx) at idx and
+        0 elsewhere, gathered at columns J into g (M x N): transforms of the dense
+        rows, len(scratch.u) at a time, direct sums at the other entries, and 0 in
+        the rows that hold none.  Returns how many rows were transformed."""
+        n, m = sub.n, len(sub.j)
+        g.fill(0)
+        groups = _groups(self.dense, len(scratch.u))
+        for rows in groups:
+            at, places = self._at(rows, n, self.dense)
+            packed = scratch.u[:len(rows)]
+            packed.fill(0)
+            packed.reshape(-1)[places] = values[at]
+            y = np.fft.ifft(packed, axis=1, out=packed).T[sub.j]  # columns J of the rows
+            if _is_run(rows):
+                g[:, rows[0]:rows[-1] + 1] = y
+            else:  # by flat indices: an index array on g's second axis is much slower
+                g.reshape(-1)[np.arange(m)[:, None] * n + rows] = y
+        if len(self.direct):
+            _point_iffts(self.direct_row, self.direct_col, values.take(self.direct), sub, g)
+        return sum(map(len, groups))
+
+
+def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float, sub: Subgrid,
+                 scratch: RowBlocks) -> tuple[np.ndarray, np.ndarray, int]:
+    """One screened pass over F = FFT2 of the block whose column transforms are
+    cols: p, t's indices followed by the entries off t where |F| > tau (sorted),
+    F at p, and how many rows of F were made.  The rows made are those whose
+    bound (per row at least max |F| off t) can cross tau (_screen), and t's dense
+    rows, a row block's worth at a time; F at t's other entries is direct sums.
+    Each row made has its largest |F| off p written into bound: exact there, it
+    is what a solver may carry on (Bonnefoy et al. 2015)."""
+    n = sub.n
+    made = _screen(bound, tau)
+    made |= t.dense
+    f = np.empty(len(t.idx), dtype=complex)  # F on t, written as its rows are made
+    found, f_found = [t.idx], [f]
+    groups = _groups(made, len(scratch.u))
+    for rows in groups:
+        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)]).reshape(-1)
+        at, on_t = t._at(rows, n, made)
+        f[at] = v.take(on_t)
+        re = np.abs(v, out=scratch.re[:len(rows)].reshape(-1))
+        re[on_t] = 0
+        hit = np.greater(re, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
+        re[hit] = 0
+        bound[rows] = np.maximum.reduce(re.reshape(len(rows), n), axis=1)
+        if len(hit):
+            slot, col = np.divmod(hit, n)
+            found.append(rows.take(slot) * n + col)
+            f_found.append(v.take(hit))
+    if len(t.direct):  # in their rows' places too, if those were made
+        f[t.direct] = _fft_points(cols, t.direct_row, t.direct_col, sub)
+    count = sum(map(len, groups))
+    if len(found) == 1:  # p is t: no copies, which in a solver's first iterations are grids
+        return t.idx, f, count
+    return np.concatenate(found), np.concatenate(f_found), count
 
 
 def _point_iffts(row: np.ndarray, col: np.ndarray, values: np.ndarray, sub: Subgrid,
                  g: np.ndarray) -> None:
-    """What _row_iffts writes into g for the rows that hold the entries values at
-    (row, col), sorted by row then column, by direct sums over them: row u of g's
-    transpose is sum_v values (u, v) e^{2 pi i v J / n} / n.  The other columns of
-    g are left as they are."""
+    """What Support.iffts writes into g for the rows that hold the entries values
+    at (row, col), sorted by row then column, by direct sums over them: row u of
+    g's transpose is sum_v values (u, v) e^{2 pi i v J / n} / n.  The other
+    columns of g are left as they are."""
     terms = sub.twiddles.take(-col, 0)  # e^{+2 pi i v J / n}, the table's row n - v
     terms *= (values * (1.0 / sub.n))[:, None]
     later = (row[1:] == row[:-1]).nonzero()[0] + 1  # not the first entry of its row

@@ -9,21 +9,20 @@ takes the step 1/L = 1: S+ = prox_lam(Y - G), with no line search.  Like the
 ADMM sweep, an iteration calls no BLAS: its norms are einsum sums.
 
 The loop works on the supports of its iterates (Beck & Teboulle 2009, with the
-screen of El Ghaoui et al. 2012).  S_k and S_{k-1} are kept as sorted flat
-indices with their values, and with R_k = IFFT2(S_k)[J, J] - B; that map is
-linear, so the momentum point Y = S_k + w (S_k - S_{k-1}) has the residual
-R_k + w (R_k - R_{k-1}) and costs no transform.  The gradient G is FFT2 of that
-residual put on J x J.  Row u of G is the DFT of the M entries of row u of its
-column transforms, so their L1 norm bounds the row; and off Y's support Y = 0,
-so the candidate prox_lam(Y - G) is 0 wherever |G| <= lam.  An iteration
-therefore makes only the rows of G that hold Y's support or whose bound
-exceeds lam (1 - margin), and takes the candidate and the relative change only
-on the entries where Y is not 0 or |G| exceeds that cut.  The candidate's
-residual takes the row IFFTs of those entries' rows and the M column IFFTs: an
-iteration makes exactly two restricted transform sets, the gradient's and the
-candidate's.  The iterates are the dense loop's within rounding.  s_hat is
-Re(S) / N^2 put on S's support in a zero float grid, and max_imag is taken
-from the support's values: no complex N x N grid is made.
+screen of El Ghaoui et al. 2012).  It keeps t = supp S_k u supp S_{k-1} (a
+grid.Support) with S_k and S_{k-1} there, and R_k = IFFT2(S_k)[J, J] - B; that
+map is linear, so the momentum point Y = S_k + w (S_k - S_{k-1}), 0 off t, has
+the residual R_k + w (R_k - R_{k-1}) and costs no transform.  The gradient G is
+FFT2 of that residual put on J x J, and off t the candidate prox_lam(Y - G) is 0
+wherever |G| <= lam.  So an iteration makes G by grid.screened_fft, the pass
+the ADMM sweep makes F_k by: at p, t then the entries off t where |G| > lam,
+from the rows whose bound can cross lam and t's dense rows.  The candidate and
+the relative change are taken on p, the new t is supp S_{k+1} u supp S_k, and
+the candidate's residual takes its row IFFTs by Support.iffts and the M column
+IFFTs: an iteration makes exactly two restricted transform sets, the
+gradient's and the candidate's.  The iterates are the dense loop's within
+rounding.  s_hat is Re(S) / N^2 put on S's support in a zero float grid, and
+max_imag is taken from the support's values: no complex N x N grid is made.
 """
 
 from __future__ import annotations
@@ -31,20 +30,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .admm import _NONE, SolveReport, _sum_squares, soft_threshold
+from .admm import SolveReport, _sum_squares, soft_threshold
 from .errors import NonFinite
-from .grid import (_MARGIN, MeasurementSet, Subgrid, _places, _row_iffts, _row_l1, _screen,
-                   column_fft, column_ifft, fft_rows)
+from .grid import (_NONE, MeasurementSet, RowBlocks, Subgrid, Support, _row_l1, column_fft,
+                   column_ifft, screened_fft)
 
 __all__ = ["PgdConfig", "PgdRecord", "pgd_recover"]
 
 # module-level references so tests can count calls: per iteration, the column
-# half of the gradient, whose rows are made as the screen lets them through,
-# and the column half of the candidate's IFFT2 on J x J
+# half of the gradient, whose rows the screened pass makes, and the column half
+# of the candidate's IFFT2 on J x J
 _fft2 = column_fft
 _ifft2 = column_ifft
 
@@ -72,15 +70,6 @@ class PgdRecord:
     l_used: float
 
 
-class _Iterate(NamedTuple):
-    """An iterate S on its support: sorted flat grid indices, the values there,
-    and r = IFFT2(S)[J, J] - B."""
-
-    idx: np.ndarray
-    val: np.ndarray
-    r: np.ndarray
-
-
 def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     """FISTA with the exact step 1/L = 1: S+ = prox_lam(Y - grad(Y)).
 
@@ -89,71 +78,57 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     """
     n, lam = ms.n, cfg.lam
     sub = Subgrid(n, ms.indices)
-    h = len(sub.flat)  # rows in a row block
+    scratch = RowBlocks(sub)
     g_cols = np.empty((len(sub.j), n), dtype=complex)  # a candidate's row IFFTs at columns J
-    cur = prev = _Iterate(_NONE, np.empty(0, dtype=complex), -ms.b)
-    cut = lam * (1.0 - _MARGIN)
+    # t: where S_k or S_{k-1} is not 0, with both there; r: IFFT2(S)[J, J] - B of each
+    t, s = Support.of(sub, _NONE), np.empty(0, dtype=complex)
+    s_prev = s
+    r = r_prev = -ms.b
     history: list[PgdRecord] = []
     converged, row_ffts = False, 0
     start = time.perf_counter()
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)  # k/(k+3) for the previous step index
-        r_y = cur.r + omega * (cur.r - prev.r)  # IFFT2(Y)[J, J] - B
+        r_y = r + omega * (r - r_prev)  # IFFT2(Y)[J, J] - B
         if not math.isfinite(_sum_squares(r_y)):
             raise NonFinite(f"non-finite PGD objective at k={k}")
         cols = _fft2(r_y, sub)
-        # the rows of G that can hold |G| > lam, and Y's
-        rows = _screen(_row_l1(cols), lam)
-        rows[cur.idx // n] = True
-        rows[prev.idx // n] = True
-        made = rows.nonzero()[0]
-        g = np.empty((len(made), n), dtype=complex)
-        for i in range(0, len(made), h):
-            fft_rows(cols[made[i:i + h]], sub, g[i:i + h])
-        row_ffts += len(made)
-        del r_y, cols
-        # on: where the candidate or Y can be nonzero, as places in g: Y's
-        # support and where |G| is above the cut (or not finite)
-        on = (np.abs(g) <= cut).reshape(-1)
-        at_cur = _places(made, cur.idx, cur.idx // n, n)
-        at_prev = _places(made, prev.idx, prev.idx // n, n)
-        prev_val = prev.val
-        del prev
-        on[at_cur] = on[at_prev] = False
-        on = np.logical_not(on, out=on).nonzero()[0]
-        g_on = g.reshape(-1).take(on)
-        del g
-        # Y = S_k + w (S_k - S_{k-1}) on on, as the dense grids' expression
-        y = np.zeros(len(on), dtype=complex)
-        y[on.searchsorted(at_prev)] = prev_val
-        del prev_val, at_prev
-        at_cur = on.searchsorted(at_cur)  # S_k's places in on
-        s_on = np.zeros(len(on), dtype=complex)
-        s_on[at_cur] = cur.val
-        y = np.add(s_on, np.multiply(np.subtract(s_on, y, out=y), omega, out=y), out=y)
-        del s_on
-        idx_on = np.add(made.take(on // n) * n, np.remainder(on, n, out=on), out=on)
-        cand = soft_threshold(np.subtract(y, g_on, out=g_on), lam, out=g_on)
-        del y, g_on
+        # p: t, then where |G| > lam off t, where Y = 0 and so prox_lam(Y - G) is not 0
+        p, cand, made = screened_fft(cols, t, _row_l1(cols), lam, sub, scratch)
+        m = len(t.idx)
+        del r_y, cols, t
+        # the candidate prox_lam(Y - G) on p, in G's place; Y = S_k + w (S_k - S_{k-1})
+        y = np.subtract(s, s_prev, out=s_prev)
+        y = np.add(s, np.multiply(y, omega, out=y), out=y)
+        np.subtract(y, cand[:m], out=cand[:m])
+        np.negative(cand[m:], out=cand[m:])
+        soft_threshold(cand, lam, out=cand)
         if not np.all(np.isfinite(cand)):
             raise NonFinite(f"non-finite PGD iterate at k={k}")
-        # the rows of on: the candidate's, and a few that turned out 0
-        row_ffts += _row_iffts(idx_on, idx_on // n, cand, sub,
-                               np.empty((h, n), dtype=complex), g_cols)
-        r = _ifft2(g_cols.T, sub) - ms.b
-        diff = cand.copy()
-        diff[at_cur] -= cur.val  # the candidate less S_k
-        rel = math.sqrt(_sum_squares(diff)) / max(math.sqrt(_sum_squares(cur.val)), 1.0)
+        diff = np.subtract(cand[:m], s, out=y)  # the candidate less S_k, on t
+        rel = (math.sqrt(_sum_squares(diff) + _sum_squares(cand[m:]))
+               / max(math.sqrt(_sum_squares(s)), 1.0))
         history.append(PgdRecord(k=k, rel_change=rel, l_used=1.0))
-        nz = cand.nonzero()[0]
-        prev, cur = cur, _Iterate(idx_on[nz], cand[nz], r)
-        del diff, at_cur, cand, nz, on, idx_on  # before the next iteration's vectors
+        del diff, y
+        # the new t: where S_{k+1} or S_k is not 0, t's and found's entries merged
+        keep = cand != 0
+        keep[:m] |= s != 0
+        t, kept = Support.kept(sub, p, m, keep)
+        del keep, p
+        # S_k on the new t: s where it comes from t, 0 where it comes from p's found
+        s_prev = s.take(kept, mode="clip") if m else np.zeros(len(kept), dtype=complex)
+        s_prev[kept >= m] = 0
+        del s
+        s = cand.take(kept)
+        del cand, kept
+        row_ffts += made + t.iffts(s, sub, scratch, g_cols)
+        r, r_prev = _ifft2(g_cols.T, sub) - ms.b, r
         if rel < cfg.tol:
             converged = True
             break
-    n2, s_hat = float(n * n), np.zeros((n, n))
-    s_hat.reshape(-1)[cur.idx] = cur.val.real / n2
-    max_imag = float(np.abs(cur.val.imag).max(initial=0.0)) / n2
+    n2, s_hat, on = float(n * n), np.zeros((n, n)), s != 0  # t holds S_{k-1}'s zeros too
+    s_hat.reshape(-1)[t.idx[on]] = s.real[on] / n2
+    max_imag = float(np.abs(s.imag).max(initial=0.0)) / n2
     return SolveReport(s_hat=s_hat, history=history, iterations=len(history),
                        converged=converged, wall_time=time.perf_counter() - start,
                        max_imag=max_imag, stop_reason="tolerance" if converged else "max_iter",

@@ -5,6 +5,7 @@ whose bits the in-place one must keep, and the sparse generator and
 scipy-weighted uniformization that check the oracle's stencil."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from branchcs.grid import MeasurementSet, Subgrid, column_fft, fft_rows, sampled
 
 def smooth_value(s: np.ndarray, ms: MeasurementSet) -> float:
     """The smooth term 0.5 N^2 ||IFFT2(S)[J, J] - B||^2 of the recovery objective."""
-    return 0.5 * ms.n**2 * np.sum(np.abs(sampled_ifft2(s, ms.indices) - ms.b) ** 2)
+    sub = Subgrid(ms.n, ms.indices)
+    return 0.5 * ms.n**2 * np.sum(np.abs(sampled_ifft2(s, sub) - ms.b) ** 2)
 
 
 def objective(ms: MeasurementSet, u: np.ndarray, z: np.ndarray, lam: float) -> float:
@@ -41,7 +43,20 @@ def fft2_rows(c: np.ndarray, sub: Subgrid) -> np.ndarray:
 def fista_gradient(s: np.ndarray, ms: MeasurementSet) -> np.ndarray:
     """The gradient of smooth_value at S by FISTA's transforms: FFT2 of the
     residual IFFT2(S)[J, J] - B on J x J, by fft2_rows."""
-    return fft2_rows(sampled_ifft2(s, ms.indices) - ms.b, Subgrid(ms.n, ms.indices))
+    sub = Subgrid(ms.n, ms.indices)
+    return fft2_rows(sampled_ifft2(s, sub) - ms.b, sub)
+
+
+def traced_peak(run):
+    """run() and the peak of the memory tracemalloc traces while it runs, in
+    bytes above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def dense_u_solve(ms: MeasurementSet, beta: float, z: np.ndarray,
@@ -84,7 +99,7 @@ def dense_u(s, sub: Subgrid) -> np.ndarray:
     step = np.zeros((sub.n, sub.n), dtype=complex)
     step[np.ix_(sub.j, sub.j)] = s.c - s.c_prev
     u = np.fft.fft2(step)
-    u.reshape(-1)[s.z_prev.idx] += s.z_prev.d
+    u.reshape(-1)[s.t_prev.idx] += s.d_prev
     return u
 
 
@@ -92,13 +107,13 @@ def form_state(s, const, beta: float) -> AdmmState:
     """The dense (U_k, Z_k, Y_k) of the form s of recover's sweep k: Z_k on its
     support, Y_k = beta (F_k + Z_k - D_{k+1}) with F_k = FFT2 of C_k on J x J,
     and U_k by dense_u."""
-    sub, t = const.sub, s.z
+    sub, t = const.sub, s.t
     f = np.zeros((sub.n, sub.n), dtype=complex)
     f[np.ix_(sub.j, sub.j)] = s.c
     y = np.fft.fft2(f)
     z = np.zeros_like(y)
-    z.reshape(-1)[t.idx] = t.z
-    y.reshape(-1)[t.idx] += t.z - t.d
+    z.reshape(-1)[t.idx] = s.z
+    y.reshape(-1)[t.idx] += s.z - s.d
     y *= beta
     return AdmmState(u=dense_u(s, sub), z=z, y=y, k=s.k)
 
@@ -132,7 +147,7 @@ def dense_pgd(ms: MeasurementSet, cfg):
     for k in range(1, cfg.max_iter + 1):
         omega = (k - 1) / (k + 2)
         y = s_cur + omega * (s_cur - s_prev)
-        g = fft2_rows(sampled_ifft2(y, ms.indices) - ms.b, Subgrid(n, ms.indices))
+        g = fft2_rows(sampled_ifft2(y, Subgrid(n, ms.indices)) - ms.b, Subgrid(n, ms.indices))
         cand = soft_threshold(y - g, cfg.lam)
         rel = np.linalg.norm(cand - s_cur) / max(np.linalg.norm(s_cur), 1.0)
         history.append((k, rel))

@@ -36,7 +36,7 @@ from branchcs.grid import (
 )
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, pgd_lambda
-from helpers import dense_sweep, dense_u, objective, recover_states
+from helpers import dense_sweep, dense_u, objective, recover_states, traced_peak
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
 
@@ -414,7 +414,7 @@ class TestSparseSweep:
 
 
 def every_row_made(bound, tau):
-    """admm._made_rows for a sweep that makes every row of F_k."""
+    """grid._screen for a sweep that makes every row of F_k."""
     return np.ones(len(bound), dtype=bool)
 
 
@@ -472,13 +472,13 @@ class TestScreen:
                 for report in (recover(ms, cfg), recover_to_error(ms, cfg, truth, target=target))]
 
     def test_screened_sweeps_equal_sweeps_of_every_row(self, cases, small_blocks, monkeypatch):
-        # _made_rows picks the rows a sweep makes; with a direct-sum cost of 1 these
+        # the screen picks the rows a sweep makes; with a direct-sum cost of 1 these
         # sizes carry the bound and take direct sums at rows that hold few entries
-        for cost, (name, ms, cfg, truth) in itertools.product((admm._DIRECT_COST, 1), cases):
-            monkeypatch.setattr(admm, "_DIRECT_COST", cost)
+        for cost, (name, ms, cfg, truth) in itertools.product((grid._DIRECT_COST, 1), cases):
+            monkeypatch.setattr(grid, "_DIRECT_COST", cost)
             screened = self.runs(ms, cfg, truth)
             with monkeypatch.context() as every_row:
-                every_row.setattr(admm, "_made_rows", every_row_made)
+                every_row.setattr(grid, "_screen", every_row_made)
                 unscreened = self.runs(ms, cfg, truth)
             for a, b in zip(screened, unscreened):
                 assert np.array_equal(a[0], b[0]), (name, cost)
@@ -491,13 +491,14 @@ class TestScreen:
         ms, truth = toy_measurements(32, 20, 5)
         cfg = AdmmConfig(beta=0.1, lam=1.0, max_iter=60)
         rows = []
-        real = admm.fft_rows
+        real = grid.fft_rows
 
         def counting(cols, sub, out):
             rows.append(len(out))
             return real(cols, sub, out)
 
-        monkeypatch.setattr(admm, "fft_rows", counting)
+        for module in (admm, grid):  # the screened passes, and each U written
+            monkeypatch.setattr(module, "fft_rows", counting)
         report = (recover_to_error(ms, cfg, truth, target=0.05) if s_true
                   else recover(ms, cfg))
         assert report.row_ffts == sum(rows) < (report.iterations + 2) * 32
@@ -523,7 +524,7 @@ class TestCarriedBound:
         rng = np.random.default_rng(seed)
         j = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
         truth = rng.uniform(size=(n, n)) * (rng.random((n, n)) < 0.2)
-        b = n**2 * grid.sampled_ifft2(truth + 0.05 * rng.normal(size=(n, n)), j)
+        b = n**2 * grid.sampled_ifft2(truth + 0.05 * rng.normal(size=(n, n)), grid.Subgrid(n, j))
         cfg = AdmmConfig(beta=beta, lam=lam_frac * beta * n, max_iter=25,
                          eps_abs=0.0, eps_rel=0.0)
         checked, sweep = [], admm._sweep
@@ -534,13 +535,13 @@ class TestCarriedBound:
             c[np.ix_(const.sub.j, const.sub.j)] = new.c
             f = np.abs(np.fft.fft2(c))
             slack = 1e-12 * f.max()  # the transforms' rounding
-            f.reshape(-1)[new.z.idx] = 0  # off the support the next sweep reads
+            f.reshape(-1)[new.t.idx] = 0  # off the support the next sweep reads
             assert (f.max(axis=1) <= new.bound + slack).all(), new.k
             checked.append(new.k)
             return new, rec, sums
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(admm, "_DIRECT_COST", 1)  # so the bound is carried at these sizes
+            mp.setattr(grid, "_DIRECT_COST", 1)  # so the bound is carried at these sizes
             mp.setattr(admm, "_sweep", checking)
             recover(MeasurementSet(n=n, indices=j, b=b), cfg)
         assert checked and checked == list(range(1, len(checked) + 1))  # it may converge
@@ -594,6 +595,19 @@ def test_a_run_peaks_below_two_grids(hsc_model):
     assert peak < 2 * 16 * n * n
 
 
+def test_a_half_dense_run_peaks_below_16_mib(hsc_model):
+    # at HSC N=256, beta = 0.08, sweep 3 holds 27602 support entries, 42% of the
+    # grid, and every vector on p is most of a grid: the traced peak, 16.03 MiB
+    # before the solvers shared one screened pass, may not rise
+    n = 256
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    ms = sampled_measurements(hsc_model, n, sample_indices(n, m, 0), seed=0)
+    cfg = dataclasses.replace(admm_defaults("hsc", n, m), beta=0.08)
+    report, peak = traced_peak(lambda: recover(ms, cfg))
+    assert report.converged
+    assert peak <= 16.05 * 2**20
+
+
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -609,10 +623,10 @@ def test_s_hat_written_by_row_blocks_is_the_dense_u(small_blocks, n, seed, densi
     on[[rng.integers(n), (n - 1) * n + rng.integers(n)]] = True
     idx = on.nonzero()[0]
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-    t = admm._Support.of(const, idx, np.zeros_like(d), d, np.zeros_like(d))
-    s = dataclasses.replace(admm._SweepForm.zero(const), c=c, c_prev=c_prev, z_prev=t, k=1)
+    s = dataclasses.replace(admm._SweepForm.zero(const), c=c, c_prev=c_prev,
+                            t_prev=grid.Support.of(const.sub, idx), d_prev=d, k=1)
     out = np.full((n, n), np.nan)  # a grid reused from an earlier write
-    s_hat, max_imag = admm._write_s_hat(s, const.sub, admm._RowBlocks(const.sub), out)
+    s_hat, max_imag = admm._write_s_hat(s, const.sub, grid.RowBlocks(const.sub), out)
     u = dense_u(s, const.sub) / n**2
     tol = 1e-13 * np.abs(u).max()
     assert s_hat is out
@@ -677,7 +691,7 @@ class TestErrorFromSums:
             j = (j - {0, n // 2}) or {1}
         j = np.array(sorted(j))
         truth = rng.uniform(size=(n, n))
-        b = n**2 * grid.sampled_ifft2(truth + 0.1 * rng.normal(size=(n, n)), j)
+        b = n**2 * grid.sampled_ifft2(truth + 0.1 * rng.normal(size=(n, n)), grid.Subgrid(n, j))
         ms = MeasurementSet(n=n, indices=j, b=b)
         # lambda / beta a fraction of U's scale, so Z's support is some of the grid
         cfg = AdmmConfig(beta=beta, lam=lam_frac * beta * n**2, max_iter=12)

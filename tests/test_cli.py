@@ -323,6 +323,21 @@ class TestExitCodes:
         assert "--truth" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv, work", [
+        (["solve", "--n", "512"], "full_measurements"),
+        (["recover", "--n", "512"], "sampled_measurements"),
+        (["oracle", "--n-trunc", "257"], "oracle_transition_matrix"),
+    ], ids=["solve", "recover", "oracle"])
+    def test_csv_above_its_limit_is_refused_before_any_work(self, hsc_config, tmp_path, capsys,
+                                                           monkeypatch, argv, work):
+        # the CSV writer's 256 x 256 limit was met only once the matrix was made
+        monkeypatch.setattr(cli, work, None)  # a call would raise TypeError
+        assert main(argv + ["--format", "csv", "--config", hsc_config,
+                            "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--format csv" in err
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2"],
         ["sweep", "--n", "16", "--param", "beta", "--grid", "1:2:3:4:log"],

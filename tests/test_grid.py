@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from branchcs import grid
@@ -233,22 +233,18 @@ class TestRestrictedTransforms:
         m = len(indices)
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         c = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        sub = np.ix_(indices, indices)
-        got = sampled_ifft2(x, indices)
+        block = np.ix_(indices, indices)
+        got = sampled_ifft2(x, Subgrid(n, indices))
         assert got.shape == (m, m)
-        assert np.max(np.abs(got - np.fft.ifft2(x)[sub])) < 1e-12
+        assert np.max(np.abs(got - np.fft.ifft2(x)[block])) < 1e-12
         embed = np.zeros((n, n), dtype=complex)
-        embed[sub] = c
+        embed[block] = c
         assert np.max(np.abs(fft2_rows(c, Subgrid(n, indices)) - np.fft.fft2(embed))) < 1e-12
 
     def test_default_indices_are_plain_transforms(self):
         x = np.random.default_rng(1).normal(size=(8, 8))
-        assert np.array_equal(sampled_ifft2(x), np.fft.ifft2(x))
         assert np.array_equal(column_fft(x), np.fft.fft2(x))
-
-    def test_embedded_needs_grid_size(self):
-        with pytest.raises(ValueError):
-            column_fft(np.ones((2, 2)), np.array([0, 1]))
+        assert np.array_equal(column_ifft(x), np.fft.ifft(x, axis=0))
 
     def test_subgrid_rejects_indices_off_the_grid(self):
         for bad in ([0, 4], [-1, 2], [[0, 1]]):
@@ -268,13 +264,11 @@ class TestRestrictedTransforms:
         want_fft[:, j] = np.fft.fft(cols, axis=0)
         want_fft = np.fft.fft(want_fft, axis=1)
         sub = Subgrid(n, j)
-        assert np.array_equal(sampled_ifft2(x, j), want_ifft)
         assert np.array_equal(sampled_ifft2(x, sub), want_ifft)
         # the row half, then the column half alone
         cols = np.fft.ifft(x, axis=1)[:, j]
         assert np.array_equal(column_ifft(cols, sub), want_ifft)
         assert np.array_equal(column_ifft(cols), np.fft.ifft(cols, axis=0))
-        assert np.array_equal(column_fft(c, j, n), column_fft(c, sub))
         assert np.array_equal(fft2_rows(c, sub), want_fft)
         # any rows of FFT2, made alone or packed together from the column transforms,
         # have the bits of the whole grid's rows, as the ADMM sweep's screen needs
@@ -310,13 +304,56 @@ class TestPointSums:
         got = grid._fft_points(cols, row, col, sub)
         assert np.abs(got - f.reshape(-1)[idx]).max() <= 1e-13 * np.abs(f).max()
         values = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-        want = np.empty((m, n), dtype=complex)
-        grid._row_iffts(idx, row, values, sub, np.empty((h, n), dtype=complex), want)
+        dense = np.zeros(n * n, dtype=complex)
+        dense[idx] = values
+        want = np.fft.ifft(dense.reshape(n, n), axis=1)[:, sub.j].T
         g = np.full((m, n), 7.0 + 0j)
         grid._point_iffts(row, col, values, sub, g)
         held = np.unique(row)
         assert np.abs(g[:, held] - want[:, held]).max() <= 1e-13 * np.abs(want).max()
         assert (np.delete(g, held, axis=1) == 7.0).all()  # the other rows' columns are left
+        # a Support's row IFFTs: transforms of its dense rows, direct sums at the rest
+        support = grid.Support.of(sub, idx)
+        g.fill(7.0)
+        made = support.iffts(values, sub, grid.RowBlocks(sub), g)
+        assert made == np.count_nonzero(support.dense)
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestScreenedPass:
+    """grid.screened_fft, the one pass both solvers make F at their supports by:
+    t's indices then every entry off t above tau, F there, and the bound made
+    exact on the rows made."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.5), st.sampled_from([grid._DIRECT_COST, 1]))
+    def test_finds_what_every_row_holds(self, small_blocks, log_n, seed, density, tau_frac,
+                                        cost):
+        n = 1 << log_n  # 2 to 64; with a direct-sum cost of 1, rows that hold few of t take them
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_DIRECT_COST", cost)
+            sub = Subgrid(n, np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False)))
+            t = grid.Support.of(sub, np.flatnonzero(rng.random(n * n) < density))
+        c = rng.normal(size=(len(sub.j),) * 2) + 1j * rng.normal(size=(len(sub.j),) * 2)
+        cols = column_fft(c, sub)
+        f = fft2_rows(c, sub).reshape(-1)  # every row, with the bits of the rows made
+        off = np.abs(f)
+        off[t.idx] = 0
+        tau = tau_frac * off.max()
+        bound = grid._row_l1(cols)
+        made_rows = grid._screen(bound, tau) | t.dense
+        p, f_p, made = grid.screened_fft(cols, t, bound, tau, sub, grid.RowBlocks(sub))
+        m = len(t.idx)
+        assert made == np.count_nonzero(made_rows)
+        assert np.array_equal(p[:m], t.idx)
+        assert np.array_equal(p[m:], np.flatnonzero(off > tau))  # sorted
+        assert np.array_equal(f_p[m:], f[p[m:]])
+        assert np.abs(f_p[:m] - f[t.idx]).max(initial=0.0) <= 1e-13 * np.abs(f).max()
+        off[p] = 0
+        assert np.array_equal(bound[made_rows], off.reshape(n, n)[made_rows].max(axis=1))
 
 
 def test_rel_l2_error():

@@ -23,7 +23,7 @@ from branchcs.grid import (
 from branchcs.models import ModelSpec, RatesHSC
 from branchcs.pgd import PgdConfig, pgd_recover
 from branchcs.presets import DEFAULT_SPARSITY_K, admm_defaults, pgd_lambda
-from helpers import dense_pgd, fft2_rows, fista_gradient, smooth_value
+from helpers import dense_pgd, fft2_rows, fista_gradient, smooth_value, traced_peak
 
 TOY_RATES = RatesHSC(rho=0.125, nu=0.104, mu=0.147)
 
@@ -76,7 +76,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
 
         def curvature(s):
-            return fft2_rows(sampled_ifft2(s, j), sub)
+            return fft2_rows(sampled_ifft2(s, sub), sub)
 
         s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         p = curvature(s)
@@ -132,23 +132,24 @@ class TestPgdRecovery:
 
 
 def test_row_ffts_counts_the_rows_made(small_blocks, monkeypatch):
-    # the gradient rows the screen lets through and the candidate's row IFFTs;
+    # the gradient rows the screened pass makes and the candidate's row IFFTs;
     # and exactly two restricted transform sets per iteration: the gradient's
     # column FFTs and the candidate's column IFFTs, once each
     ms, _ = toy_measurements(32, 20, 3)
     rows, calls = [], {"_fft2": 0, "_ifft2": 0}
-    real_fft_rows, real_row_iffts = pgd.fft_rows, pgd._row_iffts
+    real_fft_rows, real_ifft = grid.fft_rows, np.fft.ifft
 
     def counting_fft_rows(cols, sub, out):
         rows.append(len(out))
         return real_fft_rows(cols, sub, out)
 
-    def counting_row_iffts(idx, row, values, sub, buf, g):
-        rows.append(len(np.unique(row)))
-        return real_row_iffts(idx, row, values, sub, buf, g)
+    def counting_ifft(a, *args, axis=-1, **kwargs):
+        if axis == 1:  # the candidate's rows, packed; the column IFFTs are along axis 0
+            rows.append(len(a))
+        return real_ifft(a, *args, axis=axis, **kwargs)
 
-    monkeypatch.setattr(pgd, "fft_rows", counting_fft_rows)
-    monkeypatch.setattr(pgd, "_row_iffts", counting_row_iffts)
+    monkeypatch.setattr(grid, "fft_rows", counting_fft_rows)
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
     for name in calls:
         real = getattr(pgd, name)
 
@@ -166,17 +167,20 @@ def test_row_ffts_counts_the_rows_made(small_blocks, monkeypatch):
 
 class TestSparseLoop:
     """pgd_recover keeps its iterates on their support and makes only the
-    gradient rows the screen lets through; it must do the dense loop's FISTA."""
+    gradient rows the screened pass lets through; it must do the dense loop's FISTA."""
 
     @pytest.fixture(scope="class")
     def cases(self, hsc_model, bds_model):
-        """(name, measurements, config) at HSC N=64, BDS N=128, and HSC N=64 with
-        lambda = 0 (where the exact step lands on a least-squares solution and
-        FISTA stops at k = 2) and with a lambda above every row's bound (so no
-        row is made); the preset lambda otherwise, and sampling seed 0."""
+        """(name, measurements, config) at HSC N=64, BDS N=128, BDS N=256 (the
+        first size where rows that hold few support entries take direct sums),
+        and HSC N=64 with lambda = 0 (where the exact step lands on a
+        least-squares solution and FISTA stops at k = 2) and with a lambda above
+        every row's bound (so no row is made); the preset lambda otherwise, and
+        sampling seed 0."""
         out = []
         for name, model, n, lam in (("hsc-64", hsc_model, 64, None),
                                     ("bds-128", bds_model, 128, None),
+                                    ("bds-256", bds_model, 256, None),
                                     ("hsc-64-lambda-0", hsc_model, 64, 0.0),
                                     ("hsc-64-lambda-1e6", hsc_model, 64, 1e6)):
             full = full_measurements(model, n)
@@ -247,6 +251,22 @@ class TestSparseLoop:
         # a row whose bound is not finite is made, so what it holds is seen
         cols = np.array([[np.nan, 0.0], [np.inf, 0.0], [0.5, 0.25], [1.0, 0.5]])
         assert grid._screen(grid._row_l1(cols), 1.0).tolist() == [True, True, False, True]
+
+
+def test_a_run_peaks_below_seven_grids(bds_model):
+    # in FISTA's first iterations at BDS N=256 its support holds up to 98% of the
+    # grid, so S_k and S_{k-1} on it, and the gradient and the candidate on p, are
+    # each about a complex grid: the run's traced peak, 6.90 grids before the
+    # solvers shared one screened pass, may not rise
+    n = 256
+    m = default_m(n, DEFAULT_SPARSITY_K)
+    full = full_measurements(bds_model, n)
+    idx = sample_indices(n, m, 0)
+    ms = MeasurementSet(n=n, indices=idx, b=full[np.ix_(idx, idx)], seed=0)
+    report, peak = traced_peak(
+        lambda: pgd_recover(ms, PgdConfig(lam=pgd_lambda("bds", m), max_iter=500)))
+    assert report.converged
+    assert peak <= 6.91 * 16 * n * n
 
 
 def test_matched_accuracy_counts_at_bds_256(bds_model):

@@ -40,3 +40,37 @@ def test_no_blas_outside_the_rk45_port():
             for use in blas_uses(path)]
     assert not [use for use in uses if use[:2] not in BLAS_ALLOWED]
     assert {use[:2] for use in uses} == BLAS_ALLOWED  # the walk sees the port's calls
+
+
+def private_names(pkg: Path) -> tuple[set, set]:
+    """The (module, name) of each module-level private name the package's modules
+    define (functions, classes and assigned names that start with one _), and of
+    each one the package reads: by name in its own module, or imported from it."""
+    defined, used = set(), set()
+    for path in sorted(pkg.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = ([node] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                   ast.ClassDef))
+                       else node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ([target.name] if hasattr(target, "name")
+                             else [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]):
+                    if name.startswith("_") and not name.startswith("__"):
+                        defined.add((module, name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                used.update((node.module, alias.name) for alias in node.names)
+    return defined, used
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing in the package reads is a leftover of a
+    # change; the hooks tests patch (_fft2, _ifft2) count, as the package calls them
+    defined, used = private_names(Path(branchcs.__file__).parent)
+    assert ("pgd", "_fft2") in defined  # the walk sees module-level names
+    assert sorted(defined - used) == []
