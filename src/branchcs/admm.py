@@ -12,7 +12,9 @@ V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
 D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
 - C_{k-1}).  A run keeps the last two C, the column transforms of the last, and
 t, the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
-N = 512) with Z, D and F there: no N x N grid.
+N = 512) with Z, D and F there: no N x N grid.  Its one other object is the
+grid.Subgrid of J, whose buffers every sweep works in and whose g holds the row
+IFFTs of the D the next sweep reads.
 
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
 so max_v |F_k[u, v]| is at most their L1 norm, and a row whose bound is at
@@ -31,9 +33,9 @@ does the M column FFTs; then, in two phases:
      row IFFTs of the rows where D_{k+1} is nonzero (Support.iffts).
 s_hat = Re(U_k) / N^2, U_k = FFT2(C_k - C_{k-1}) + D_k, is written when a run
 stops and at each stop recover_to_error confirms: one column FFT of C_k - C_{k-1},
-then a row block's worth of U_k's rows at a time in the run's row buffer, D_k
-added at its entries, and the real part over N^2 into one float grid the run
-reuses; no complex N x N grid is made.
+then a row block's worth of U_k's rows at a time in the Subgrid's row buffer,
+D_k added at its entries, and the real part over N^2 into one float grid the
+run reuses; no complex N x N grid is made.
 
 iterate and u_update are the paper's dense step on N x N grids; no solver calls them.
 """
@@ -47,9 +49,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .grid import (_NONE, MeasurementSet, RowBlocks, Subgrid, Support, _row_l1, _screen,
-                   column_fft, column_ifft, fft_rows, rel_l2_error, row_blocks, sampled_ifft2,
-                   screened_fft)
+from .grid import (_NONE, MeasurementSet, Subgrid, Support, _row_l1, _screen, column_fft,
+                   column_ifft, fft_rows, rel_l2_error, row_blocks, sampled_ifft2, screened_fft)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -104,31 +105,14 @@ class AdmmState:
 
 
 @dataclass(frozen=True, eq=False)
-class _SweepConstants:
-    """What every sweep of a run shares: beta, the Subgrid of J (sorted) and
-    B / (beta + 1) on J x J."""
-
-    beta: float
-    sub: Subgrid
-    b_j: np.ndarray
-
-    @classmethod
-    def of_measurements(cls, ms: MeasurementSet, beta: float) -> _SweepConstants:
-        order = np.argsort(ms.indices)
-        # with a reciprocal: complex / real is slow
-        b_j = ms.b[np.ix_(order, order)] * (1.0 / (beta + 1.0))
-        return cls(beta, Subgrid(ms.n, np.asarray(ms.indices)[order]), b_j)
-
-
-@dataclass(frozen=True, eq=False)
 class _SweepForm:
     """The state after sweep k as sweep k + 1 reads it: C_k and C_{k-1}, and
     cols, the column transforms of C_k; t, where Z_k or Z_{k-1} is not 0, with
     Z_k, D_{k+1} and F_k there (z, d, f), and t_prev and d_prev, sweep k - 1's t
-    and D_k on it; g, D_{k+1}'s row IFFTs gathered at columns J, as an M x N
-    array; k; row_ffts, the rows of F made so far; and bound, per row u at least
-    max |F_k[u, v]| over v off t (None before the first sweep, and in runs that
-    take no direct sums)."""
+    and D_k on it; k; row_ffts, the rows of F made so far; and bound, per row u
+    at least max |F_k[u, v]| over v off t (None before the first sweep, and in
+    runs that take no direct sums).  D_{k+1}'s row IFFTs at columns J are the
+    run's Subgrid's g."""
 
     c: np.ndarray
     c_prev: np.ndarray
@@ -139,18 +123,17 @@ class _SweepForm:
     f: np.ndarray
     t_prev: Support
     d_prev: np.ndarray
-    g: np.ndarray
     k: int
     row_ffts: int = 0
     bound: np.ndarray | None = None
 
     @classmethod
-    def zero(cls, const: _SweepConstants) -> _SweepForm:
+    def zero(cls, sub: Subgrid) -> _SweepForm:
         """The form a run starts from: C, Z and D all 0."""
-        n, m = const.sub.n, len(const.sub.j)
-        c, none = np.zeros((m, m), dtype=complex), Support.of(const.sub, _NONE)
+        n, m = sub.n, len(sub.j)
+        c, none = np.zeros((m, m), dtype=complex), Support.of(sub, _NONE)
         return cls(c, c, np.zeros((n, m), dtype=complex), none, _EMPTY, _EMPTY, _EMPTY,
-                   none, _EMPTY, np.zeros((m, n), dtype=complex), 0)
+                   none, _EMPTY, 0)
 
 
 @dataclass(frozen=True)
@@ -273,27 +256,28 @@ def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
     return bound
 
 
-def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: RowBlocks,
-           g_out: np.ndarray) -> tuple[_SweepForm, ResidualRecord, tuple]:
-    """Sweep k = s.k + 1: the new form, its residual record, and what
-    _error_from_sums takes the error from: (C_k - C_{k-1}, ||U_k||^2,
-    Re sum_t D_k (2A + D_k)).  D_{k+1}'s row IFFTs go in g_out (it may be s.g).
-    Phase 1 is the screened pass over F_k; phase 2 works on p once."""
-    beta, tau, sub = cfg.beta, cfg.lam / cfg.beta, const.sub
+def _sweep(s: _SweepForm, sub: Subgrid, b_j: np.ndarray,
+           cfg: AdmmConfig) -> tuple[_SweepForm, ResidualRecord, tuple]:
+    """Sweep k = s.k + 1 on the Subgrid sub of sorted J, b_j = B / (beta + 1) on
+    J x J: the new form, its residual record, and what _error_from_sums takes the
+    error from: (C_k - C_{k-1}, ||U_k||^2, Re sum_t D_k (2A + D_k)).  D_k's row
+    IFFTs are read from sub.g and D_{k+1}'s written there.  Phase 1 is the
+    screened pass over F_k; phase 2 works on p once."""
+    beta, tau = cfg.beta, cfg.lam / cfg.beta
     n, k, t, m = sub.n, s.k + 1, s.t, len(s.t.idx)  # t: Z_{k-1}, D_k
     # the bound goes on to the next sweep where rows take direct sums: below that
     # size (N <= 128 at the default M) a sweep costs its numpy calls more than its rows
     carry = sub.direct_max > 0
     # C_k = B / (beta + 1) - W_J / (beta (beta + 1)), W_J = beta (IFFT2(D_k)[J, J] - C_{k-1})
-    c = const.b_j - (_ifft2(s.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
+    c = b_j - (_ifft2(sub.g.T, sub) - s.c) * (1.0 / (beta + 1.0))
     cols = _fft2(c, sub)
     # Phase 1: p is t then where |V| > tau off t (V = F_k + Z_{k-1} = F_k there)
     bound = _bound(cols, s, tau)
-    p, f, made = screened_fft(cols, t, bound, tau, sub, scratch)
+    p, f, made = screened_fft(cols, t, bound, tau, sub)
     # Phase 2: F_{k-1} at the entries found, from C_{k-1}'s transforms (a pass
     # that looks for nothing: no row's bound, 0, can cross an infinite tau)
     _, f_prev, remade = screened_fft(s.cols, Support.of(sub, p[m:]), np.zeros(n), math.inf,
-                                     sub, scratch)
+                                     sub)
     on_p = np.empty((7, len(p)), dtype=complex)  # rows, each the values of one vector at p
     e, d, dz, d_next, x1, a, w = on_p
     x1[:m], d[:m] = s.z, s.d  # Z_{k-1} and D_k at p
@@ -318,7 +302,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: RowB
         gone = np.logical_not(keep, out=keep).nonzero()[0]
         np.maximum.at(bound, p.take(gone) // n, np.abs(f.take(gone)))
     d_new = d_next.take(kept)
-    new.iffts(d_new, sub, scratch, g_out)
+    new.iffts(d_new, sub)
     z_new = z.take(kept)
     n2 = float(n * n)
     delta_c = c - s.c
@@ -327,7 +311,7 @@ def _sweep(s: _SweepForm, const: _SweepConstants, cfg: AdmmConfig, scratch: RowB
             beta**2 * (yy + n2 * _sum_squares(c)))
     # F_k's rows not made are finite: they are at most tau
     rec = _record(k, n, cfg, sums, cols, z_new)
-    return (_SweepForm(c, s.c, cols, new, z_new, d_new, f.take(kept), t, s.d, g_out, k,
+    return (_SweepForm(c, s.c, cols, new, z_new, d_new, f.take(kept), t, s.d, k,
                        s.row_ffts + made + remade, bound if carry else None),
             rec, (delta_c, sums[2], ud))
 
@@ -406,17 +390,16 @@ def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
     return rel_error
 
 
-def _write_s_hat(s: _SweepForm, sub: Subgrid, scratch: RowBlocks,
-                 out: np.ndarray | None) -> tuple[np.ndarray, float]:
+def _write_s_hat(s: _SweepForm, sub: Subgrid, out: np.ndarray | None) -> tuple[np.ndarray, float]:
     """s_hat = Re(U_k) / N^2 of the form s of sweep k into out, or else a new float
     grid, and max |Im U_k| / N^2: U_k = FFT2(C_k - C_{k-1}) + D_k is made a row
-    block's worth of rows at a time in scratch, from one column FFT."""
+    block's worth of rows at a time in sub.u, from one column FFT."""
     n, t, d = sub.n, s.t_prev, s.d_prev  # D_k on its support
     out = np.empty((n, n)) if out is None else out
     n2, step = float(n * n), column_fft(s.c - s.c_prev, sub)
     imag = []  # per block, max Im U and -min Im U
     for rows in row_blocks(n):
-        u = fft_rows(step[rows], sub, scratch.u[:rows.stop - rows.start])
+        u = fft_rows(step[rows], sub, sub.u[:rows.stop - rows.start])
         lo, hi = t.idx.searchsorted((rows.start * n, rows.stop * n))
         u.reshape(-1)[t.idx[lo:hi] - rows.start * n] += d[lo:hi]
         np.divide(u.real, n2, out=out[rows])
@@ -429,15 +412,16 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     """Sweeps from zero until the error against s_true is at most target, or without
     it until the stopping rule holds; converged says if that rule held at any sweep.
     A stop at target is confirmed on the s_hat it writes, as rounding can differ."""
-    const = _SweepConstants.of_measurements(ms, cfg.beta)
-    scratch = RowBlocks(const.sub)
-    error = None if s_true is None else _error_from_sums(s_true, const.sub)
+    order = np.argsort(ms.indices)
+    sub = Subgrid(ms.n, np.asarray(ms.indices)[order])
+    b_j = ms.b[np.ix_(order, order)] * (1.0 / (cfg.beta + 1.0))  # complex / real is slow
+    error = None if s_true is None else _error_from_sums(s_true, sub)
     history: list[ResidualRecord] = []
     converged, reason, made = False, "max_iter", 0  # made: rows made to write s_hat
-    s, s_hat = _SweepForm.zero(const), None  # s_hat: the one grid each is written into
+    s, s_hat = _SweepForm.zero(sub), None  # s_hat: the one grid each is written into
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
-        s, rec, sums = _sweep(s, const, cfg, scratch, s.g)
+        s, rec, sums = _sweep(s, sub, b_j, cfg)
         history.append(rec)
         first = history[0]
         converged = converged or (residual_check(rec)
@@ -448,12 +432,12 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
                 reason = "tolerance"
                 break
         elif error(s.t_prev, s.d_prev, *sums) <= target:
-            (s_hat, max_imag), made = _write_s_hat(s, const.sub, scratch, s_hat), made + ms.n
+            (s_hat, max_imag), made = _write_s_hat(s, sub, s_hat), made + ms.n
             if rel_l2_error(s_hat, s_true) <= target:
                 reason = "error_target"
                 break
     if reason != "error_target":
-        (s_hat, max_imag), made = _write_s_hat(s, const.sub, scratch, s_hat), made + ms.n
+        (s_hat, max_imag), made = _write_s_hat(s, sub, s_hat), made + ms.n
     return SolveReport(s_hat=s_hat, history=history, iterations=len(history),
                        converged=converged, wall_time=time.perf_counter() - start,
                        max_imag=max_imag, stop_reason=reason, row_ffts=made + s.row_ffts)

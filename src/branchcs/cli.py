@@ -48,10 +48,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _m_or_default(args) -> int:
-    """--m or the default M for --n, once --seed, which the sampling commands
-    read next, is checked: numpy's error for a negative one names no flag."""
+    """--m or the default M for --n, once it and --seed, which the sampling
+    commands read next, are checked: the penalty's log of an M below 1 and
+    numpy's error for a negative seed name no flag."""
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     return args.m if args.m is not None else default_m(args.n, DEFAULT_SPARSITY_K)
 
 
@@ -175,6 +178,8 @@ def _parse_grid(spec: str) -> list[float]:
                          f"got {spec!r}") from None
     if num < 1:
         raise ValueError(f"--grid needs num >= 1, got {spec!r}")
+    if scale == "log" and not (start > 0 and stop > 0):
+        raise ValueError(f"--grid on a log scale needs start and stop > 0, got {spec!r}")
     space = np.geomspace if scale == "log" else np.linspace
     return list(space(start, stop, num))
 
@@ -207,9 +212,13 @@ def cmd_bench(args, model, out_dir: Path) -> tuple[dict, str]:
     PGD runs to its own plateau first; ADMM then runs until it matches or
     beats that error, so wall times are compared at equal accuracy.
     """
-    n_list = [int(x) for x in args.n_list.split(",")]
-    for n in n_list:
-        check_grid_size(n)
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+        for n in n_list:
+            check_grid_size(n)
+    except ValueError:
+        raise ValueError(f"--n-list must be comma-separated powers of two >= 2, "
+                         f"got {args.n_list!r}") from None
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rows = []

@@ -13,7 +13,8 @@ row holds enough of them to be worked by transforms or takes direct sums over
 its entries (_DIRECT_COST); screened_fft is the one pass both make F at their
 support by, and finds the entries off it above a threshold, making only the
 rows whose L1 bound can cross it (El Ghaoui et al. 2012).  Only the support
-decides how a row is worked, so the screen changes no bit.
+decides how a row is worked, so the screen changes no bit.  The buffers the
+passes work in belong to the Subgrid a run builds for J: no run sees another's.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "check_grid_size",
     "row_blocks",
     "Subgrid",
-    "RowBlocks",
     "Support",
     "screened_fft",
     "full_measurements",
@@ -139,7 +139,15 @@ _NONE = np.empty(0, dtype=np.intp)
 
 class Subgrid:
     """An index set J of an n x n grid and the flat positions of columns J in a
-    row block's worth of rows, which the row transforms scatter through."""
+    row block's worth of rows, which the row transforms scatter through; and the
+    buffers of the run it is built for, made when first used: u, re and above, a
+    row block's worth of complex rows, their moduli and a mask, and g, the M x N
+    row IFFTs gathered at columns J that Support.iffts writes (0 until then)."""
+
+    u = cached_property(lambda self: np.empty((len(self.flat), self.n), dtype=complex))
+    re = cached_property(lambda self: np.empty((len(self.flat), self.n)))
+    above = cached_property(lambda self: np.empty((len(self.flat), self.n), dtype=bool))
+    g = cached_property(lambda self: np.zeros((len(self.j), self.n), dtype=complex))
 
     def __init__(self, n: int, indices):
         self.n = n
@@ -241,15 +249,6 @@ def _places(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return idx + (rows.searchsorted(row) - row) * n
 
 
-class RowBlocks:
-    """Buffers for a row block's worth of rows, kept for a run so that no
-    iteration allocates a grid."""
-
-    def __init__(self, sub: Subgrid):
-        h, n = len(sub.flat), sub.n
-        self.u, self.re, self.above = (np.empty((h, n), dtype=t) for t in (complex, float, bool))
-
-
 class Support(NamedTuple):
     """Sorted flat indices of an n x n grid and how a solver works the grid's rows
     at them: dense, per row, whether it holds more than direct_max of them, so
@@ -293,17 +292,17 @@ class Support(NamedTuple):
             at = lo + made.take(self.idx[at] // n).nonzero()[0]
         return at, _places(rows, self.idx[at], n)
 
-    def iffts(self, values: np.ndarray, sub: Subgrid, scratch: RowBlocks, g: np.ndarray) -> int:
+    def iffts(self, values: np.ndarray, sub: Subgrid) -> int:
         """The row IFFTs of the grid that holds values (aligned with idx) at idx and
-        0 elsewhere, gathered at columns J into g (M x N): transforms of the dense
-        rows, len(scratch.u) at a time, direct sums at the other entries, and 0 in
-        the rows that hold none.  Returns how many rows were transformed."""
-        n, m = sub.n, len(sub.j)
+        0 elsewhere, gathered at columns J into sub.g (M x N): transforms of the
+        dense rows, a row block's worth at a time, direct sums at the other entries,
+        and 0 in the rows that hold none.  Returns how many rows were transformed."""
+        n, m, g = sub.n, len(sub.j), sub.g
         g.fill(0)
-        groups = _groups(self.dense, len(scratch.u))
+        groups = _groups(self.dense, len(sub.u))
         for rows in groups:
             at, places = self._at(rows, n, self.dense)
-            packed = scratch.u[:len(rows)]
+            packed = sub.u[:len(rows)]
             packed.fill(0)
             packed.reshape(-1)[places] = values[at]
             y = np.fft.ifft(packed, axis=1, out=packed).T[sub.j]  # columns J of the rows
@@ -312,12 +311,12 @@ class Support(NamedTuple):
             else:  # by flat indices: an index array on g's second axis is much slower
                 g.reshape(-1)[np.arange(m)[:, None] * n + rows] = y
         if len(self.direct):
-            _point_iffts(self.direct_row, self.direct_col, values.take(self.direct), sub, g)
+            _point_iffts(self.direct_row, self.direct_col, values.take(self.direct), sub)
         return sum(map(len, groups))
 
 
-def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float, sub: Subgrid,
-                 scratch: RowBlocks) -> tuple[np.ndarray, np.ndarray, int]:
+def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float,
+                 sub: Subgrid) -> tuple[np.ndarray, np.ndarray, int]:
     """One screened pass over F = FFT2 of the block whose column transforms are
     cols: p, t's indices followed by the entries off t where |F| > tau (sorted),
     F at p, and how many rows of F were made.  The rows made are those whose
@@ -330,14 +329,14 @@ def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float, su
     made |= t.dense
     f = np.empty(len(t.idx), dtype=complex)  # F on t, written as its rows are made
     found, f_found = [t.idx], [f]
-    groups = _groups(made, len(scratch.u))
+    groups = _groups(made, len(sub.u))
     for rows in groups:
-        v = fft_rows(cols[rows], sub, scratch.u[:len(rows)]).reshape(-1)
+        v = fft_rows(cols[rows], sub, sub.u[:len(rows)]).reshape(-1)
         at, on_t = t._at(rows, n, made)
         f[at] = v.take(on_t)
-        re = np.abs(v, out=scratch.re[:len(rows)].reshape(-1))
+        re = np.abs(v, out=sub.re[:len(rows)].reshape(-1))
         re[on_t] = 0
-        hit = np.greater(re, tau, out=scratch.above[:len(rows)].reshape(-1)).nonzero()[0]
+        hit = np.greater(re, tau, out=sub.above[:len(rows)].reshape(-1)).nonzero()[0]
         re[hit] = 0
         bound[rows] = np.maximum.reduce(re.reshape(len(rows), n), axis=1)
         if len(hit):
@@ -352,11 +351,10 @@ def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float, su
     return np.concatenate(found), np.concatenate(f_found), count
 
 
-def _point_iffts(row: np.ndarray, col: np.ndarray, values: np.ndarray, sub: Subgrid,
-                 g: np.ndarray) -> None:
-    """What Support.iffts writes into g for the rows that hold the entries values
-    at (row, col), sorted by row then column, by direct sums over them: row u of
-    g's transpose is sum_v values (u, v) e^{2 pi i v J / n} / n.  The other
+def _point_iffts(row: np.ndarray, col: np.ndarray, values: np.ndarray, sub: Subgrid) -> None:
+    """What Support.iffts writes into sub.g for the rows that hold the entries
+    values at (row, col), sorted by row then column, by direct sums over them: row
+    u of g's transpose is sum_v values (u, v) e^{2 pi i v J / n} / n.  The other
     columns of g are left as they are."""
     terms = sub.twiddles.take(-col, 0)  # e^{+2 pi i v J / n}, the table's row n - v
     terms *= (values * (1.0 / sub.n))[:, None]
@@ -370,7 +368,7 @@ def _point_iffts(row: np.ndarray, col: np.ndarray, values: np.ndarray, sub: Subg
             at = rank == k
             terms[head[at]] += terms.take(later[at], 0)
         row, terms = np.delete(row, later), np.delete(terms, later, axis=0)
-    g.T[row] = terms
+    sub.g.T[row] = terms
 
 
 def sample_indices(n: int, m: int, seed: int) -> np.ndarray:

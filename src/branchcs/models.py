@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class ModelSpec:
             raise ValueError("bds model requires RatesBDS")
         if not 0 < self.t < math.inf:  # False for NaN
             raise ValueError(f"t must be finite and > 0, got {self.t!r}")
+        if not (len(self.init) == 2 and all(isinstance(x, Integral) and not isinstance(x, bool)
+                                            for x in self.init)):
+            raise ValueError(f"init must be a pair of integers, got {self.init!r}")
         j, k = self.init
         if j < 0 or k < 0 or j + k < 1:
             raise ValueError("init must be non-negative with j + k >= 1")
@@ -281,8 +284,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
     rates = rates_type(**{f.name: get(raw, f.name, "config 'rates'") for f in fields(rates_type)})
     t, init = get(cfg, "t"), get(cfg, "init")
     try:
-        j, k = init
-        return ModelSpec(kind=kind, rates=rates, t=float(t), init=(int(j), int(k)))
+        return ModelSpec(kind=kind, rates=rates, t=float(t), init=tuple(init))
     except TypeError:
         raise ValueError(f"config 't' must be a number and 'init' a pair of integers, "
                          f"got {t!r} and {init!r}") from None

@@ -18,11 +18,12 @@ wherever |G| <= lam.  So an iteration makes G by grid.screened_fft, the pass
 the ADMM sweep makes F_k by: at p, t then the entries off t where |G| > lam,
 from the rows whose bound can cross lam and t's dense rows.  The candidate and
 the relative change are taken on p, the new t is supp S_{k+1} u supp S_k, and
-the candidate's residual takes its row IFFTs by Support.iffts and the M column
-IFFTs: an iteration makes exactly two restricted transform sets, the
-gradient's and the candidate's.  The iterates are the dense loop's within
-rounding.  s_hat is Re(S) / N^2 put on S's support in a zero float grid, and
-max_imag is taken from the support's values: no complex N x N grid is made.
+the candidate's residual takes its row IFFTs by Support.iffts, into the g of
+the run's grid.Subgrid, and the M column IFFTs: an iteration makes exactly two
+restricted transform sets, the gradient's and the candidate's, in the
+Subgrid's buffers.  The iterates are the dense loop's within rounding.  s_hat
+is Re(S) / N^2 put on S's support in a zero float grid, and max_imag is taken
+from the support's values: no complex N x N grid is made.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from .admm import SolveReport, _sum_squares, soft_threshold
 from .errors import NonFinite
-from .grid import (_NONE, MeasurementSet, RowBlocks, Subgrid, Support, _row_l1, column_fft,
-                   column_ifft, screened_fft)
+from .grid import (_NONE, MeasurementSet, Subgrid, Support, _row_l1, column_fft, column_ifft,
+                   screened_fft)
 
 __all__ = ["PgdConfig", "PgdRecord", "pgd_recover"]
 
@@ -62,12 +63,10 @@ class PgdConfig:
 
 @dataclass(frozen=True)
 class PgdRecord:
-    """One iteration: its index, the relative change of S, and the Lipschitz
-    constant whose inverse was the step, which is always 1."""
+    """One iteration: its index and the relative change of S."""
 
     k: int
     rel_change: float
-    l_used: float
 
 
 def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
@@ -78,8 +77,6 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
     """
     n, lam = ms.n, cfg.lam
     sub = Subgrid(n, ms.indices)
-    scratch = RowBlocks(sub)
-    g_cols = np.empty((len(sub.j), n), dtype=complex)  # a candidate's row IFFTs at columns J
     # t: where S_k or S_{k-1} is not 0, with both there; r: IFFT2(S)[J, J] - B of each
     t, s = Support.of(sub, _NONE), np.empty(0, dtype=complex)
     s_prev = s
@@ -94,7 +91,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
             raise NonFinite(f"non-finite PGD objective at k={k}")
         cols = _fft2(r_y, sub)
         # p: t, then where |G| > lam off t, where Y = 0 and so prox_lam(Y - G) is not 0
-        p, cand, made = screened_fft(cols, t, _row_l1(cols), lam, sub, scratch)
+        p, cand, made = screened_fft(cols, t, _row_l1(cols), lam, sub)
         m = len(t.idx)
         del r_y, cols, t
         # the candidate prox_lam(Y - G) on p, in G's place; Y = S_k + w (S_k - S_{k-1})
@@ -108,7 +105,7 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
         diff = np.subtract(cand[:m], s, out=y)  # the candidate less S_k, on t
         rel = (math.sqrt(_sum_squares(diff) + _sum_squares(cand[m:]))
                / max(math.sqrt(_sum_squares(s)), 1.0))
-        history.append(PgdRecord(k=k, rel_change=rel, l_used=1.0))
+        history.append(PgdRecord(k=k, rel_change=rel))
         del diff, y
         # the new t: where S_{k+1} or S_k is not 0, t's and found's entries merged
         keep = cand != 0
@@ -121,8 +118,8 @@ def pgd_recover(ms: MeasurementSet, cfg: PgdConfig) -> SolveReport:
         del s
         s = cand.take(kept)
         del cand, kept
-        row_ffts += made + t.iffts(s, sub, scratch, g_cols)
-        r, r_prev = _ifft2(g_cols.T, sub) - ms.b, r
+        row_ffts += made + t.iffts(s, sub)
+        r, r_prev = _ifft2(sub.g.T, sub) - ms.b, r
         if rel < cfg.tol:
             converged = True
             break

@@ -103,11 +103,11 @@ def dense_u(s, sub: Subgrid) -> np.ndarray:
     return u
 
 
-def form_state(s, const, beta: float) -> AdmmState:
+def form_state(s, sub: Subgrid, beta: float) -> AdmmState:
     """The dense (U_k, Z_k, Y_k) of the form s of recover's sweep k: Z_k on its
     support, Y_k = beta (F_k + Z_k - D_{k+1}) with F_k = FFT2 of C_k on J x J,
     and U_k by dense_u."""
-    sub, t = const.sub, s.t
+    t = s.t
     f = np.zeros((sub.n, sub.n), dtype=complex)
     f[np.ix_(sub.j, sub.j)] = s.c
     y = np.fft.fft2(f)
@@ -123,9 +123,9 @@ def recover_states(ms: MeasurementSet, cfg) -> tuple[list, admm.SolveReport]:
     form_state from a wrapper of admm._sweep as each sweep returns."""
     states, sweep = [], admm._sweep
 
-    def keeping(s, const, *args):
-        new, rec, sums = sweep(s, const, *args)
-        states.append(form_state(new, const, cfg.beta))
+    def keeping(s, sub, *args):
+        new, rec, sums = sweep(s, sub, *args)
+        states.append(form_state(new, sub, cfg.beta))
         return new, rec, sums
 
     with pytest.MonkeyPatch.context() as mp:

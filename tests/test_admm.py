@@ -529,10 +529,10 @@ class TestCarriedBound:
                          eps_abs=0.0, eps_rel=0.0)
         checked, sweep = [], admm._sweep
 
-        def checking(s, const, *args):
-            new, rec, sums = sweep(s, const, *args)
+        def checking(s, sub, *args):
+            new, rec, sums = sweep(s, sub, *args)
             c = np.zeros((n, n), dtype=complex)
-            c[np.ix_(const.sub.j, const.sub.j)] = new.c
+            c[np.ix_(sub.j, sub.j)] = new.c
             f = np.abs(np.fft.fft2(c))
             slack = 1e-12 * f.max()  # the transforms' rounding
             f.reshape(-1)[new.t.idx] = 0  # off the support the next sweep reads
@@ -617,17 +617,17 @@ def test_s_hat_written_by_row_blocks_is_the_dense_u(small_blocks, n, seed, densi
     rng = np.random.default_rng(seed)
     j = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
     m = len(j)
-    const = admm._SweepConstants(1.0, grid.Subgrid(n, j), np.zeros((m, m), dtype=complex))
+    sub = grid.Subgrid(n, j)
     c, c_prev = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for _ in range(2))
     on = rng.random(n * n) < density
     on[[rng.integers(n), (n - 1) * n + rng.integers(n)]] = True
     idx = on.nonzero()[0]
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-    s = dataclasses.replace(admm._SweepForm.zero(const), c=c, c_prev=c_prev,
-                            t_prev=grid.Support.of(const.sub, idx), d_prev=d, k=1)
+    s = dataclasses.replace(admm._SweepForm.zero(sub), c=c, c_prev=c_prev,
+                            t_prev=grid.Support.of(sub, idx), d_prev=d, k=1)
     out = np.full((n, n), np.nan)  # a grid reused from an earlier write
-    s_hat, max_imag = admm._write_s_hat(s, const.sub, grid.RowBlocks(const.sub), out)
-    u = dense_u(s, const.sub) / n**2
+    s_hat, max_imag = admm._write_s_hat(s, sub, out)
+    u = dense_u(s, sub) / n**2
     tol = 1e-13 * np.abs(u).max()
     assert s_hat is out
     assert np.abs(s_hat - u.real).max() <= tol
@@ -641,9 +641,9 @@ def error_pairs(ms, cfg, truth, monkeypatch):
     pairs, last = [], []
     sweep, error_from_sums = admm._sweep, admm._error_from_sums
 
-    def keeping(s, const, *args):
-        new, rec, sums = sweep(s, const, *args)
-        last[:] = [new, const.sub]
+    def keeping(s, sub, *args):
+        new, rec, sums = sweep(s, sub, *args)
+        last[:] = [new, sub]
         return new, rec, sums
 
     def checking(s_true, sub):
@@ -760,3 +760,21 @@ class TestErrorFromSums:
         for target in (float("nan"), -0.01):
             with pytest.raises(ValueError, match="target"):
                 recover_to_error(ms, cfg, truth, target=target)
+
+
+def test_no_run_sees_another_runs_buffers(bds_model):
+    # each run works in the buffers of the Subgrid it builds, and its g holds the
+    # row IFFTs the next sweep or iteration reads: runs on one MeasurementSet, in
+    # any order, give the same bytes.  BDS N=256 is the first size with direct sums.
+    ms, cfg, truth = preset_case(bds_model, 256, 0)
+    p_cfg = pgd.PgdConfig(lam=pgd_lambda("bds", ms.m), max_iter=500)
+
+    def key(report):
+        return report.s_hat.tobytes(), report.history, report.row_ffts
+
+    fista = pgd.pgd_recover(ms, p_cfg)
+    target = rel_l2_error(fista.s_hat, truth)
+    plain, to_error = recover(ms, cfg), recover_to_error(ms, cfg, truth, target)
+    assert key(recover(ms, cfg)) == key(plain)
+    assert key(recover_to_error(ms, cfg, truth, target)) == key(to_error)
+    assert key(pgd.pgd_recover(ms, p_cfg)) == key(fista)

@@ -403,13 +403,26 @@ class TestExitCodes:
         (["sweep", "--n", "16", "--param", "beta", "--grid", "a,b"], "--grid"),
         (["oracle", "--n-trunc", "0"], "n_trunc"),
         (["oracle", "--n-trunc", "-3"], "n_trunc"),
+        (["recover", "--n", "16", "--m", "0"], "--m"),
+        (["sweep", "--n", "16", "--m", "0", "--param", "beta", "--grid", "1"], "--m"),
+        (["bench", "--n-list", "a"], "--n-list"),
+        (["bench", "--n-list", "16,"], "--n-list"),
+        (["sweep", "--n", "16", "--param", "beta", "--grid", "0:1:3"], "--grid"),
     ], ids=["grid-num-0", "grid-empty-values", "grid-num-not-an-integer", "grid-not-numbers",
-            "n-trunc-0", "n-trunc-negative"])
+            "n-trunc-0", "n-trunc-negative", "recover-m-0", "sweep-m-0", "n-list-not-numbers",
+            "n-list-empty-value", "grid-log-from-0"])
     def test_a_count_below_one_is_a_usage_error_naming_it(self, hsc_config, tmp_path, capsys,
-                                                          argv, name):
+                                                          monkeypatch, argv, name):
         # a sweep over no points wrote an empty CSV and exited 0, a --grid that
         # float() or int() could not read was reported in their words, and the
-        # oracle's errors for a box of no states named neither it nor its flag
+        # oracle's errors for a box of no states named neither it nor its flag;
+        # --m 0 gave the penalty's "math domain error", and a log --grid from 0
+        # numpy's error, in place of their flags
+        def no_work(*args, **kwargs):
+            raise AssertionError("PGF values computed before the arguments were checked")
+
+        monkeypatch.setattr(cli, "full_measurements", no_work)
+        monkeypatch.setattr(cli, "sampled_measurements", no_work)
         out = tmp_path / "out"
         assert main(argv + ["--config", hsc_config, "--out-dir", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -424,7 +437,10 @@ class TestExitCodes:
         ({"rates": {"rho": 0.125, "mu": 0.147}}, "nu"),
         ({"rates": {"rho": 0.125, "nu": "fast", "mu": 0.147}}, "nu"),
         ({"t": float("inf")}, "t must be finite"),
-    ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate", "infinite-t"])
+        ({"init": [1.7, 0]}, "init"),
+        ({"init": [True, 0]}, "init"),
+    ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate", "infinite-t",
+            "fractional-init", "boolean-init"])
     def test_config_schema_error_is_usage_error(self, tmp_path, capsys, change, key):
         cfg = {k: v for k, v in {**HSC_CONFIG, **change}.items() if v is not None}
         path = tmp_path / "cfg.json"

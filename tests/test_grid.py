@@ -251,6 +251,18 @@ class TestRestrictedTransforms:
             with pytest.raises(ValueError):
                 Subgrid(4, np.array(bad))
 
+    def test_subgrid_buffers_are_made_when_first_used(self, small_blocks):
+        # a Subgrid built only to sample allocates none; a run's are a row
+        # block's worth of rows (3 at N = 32 here) and the M x N gather g, 0 at first
+        n, j = 32, np.array([30, 1, 7, 12, 19])
+        sub = Subgrid(n, j)
+        sampled_ifft2(np.ones((n, n)), sub)
+        assert not {"u", "re", "above", "g"} & vars(sub).keys()
+        assert [(b.shape, b.dtype) for b in (sub.u, sub.re, sub.above)] == [
+            ((3, n), np.dtype(t)) for t in (complex, float, bool)]
+        assert sub.g.shape == (5, n) and sub.g.dtype == complex and not sub.g.any()
+        assert sub.u is sub.u and sub.g is sub.g  # made once
+
     def test_blocked_and_threaded_forms_are_bit_identical(self, small_blocks):
         # every form computes each row's transform alone, so all agree exactly
         n, j = 32, np.array([30, 1, 7, 12, 19])
@@ -307,15 +319,16 @@ class TestPointSums:
         dense = np.zeros(n * n, dtype=complex)
         dense[idx] = values
         want = np.fft.ifft(dense.reshape(n, n), axis=1)[:, sub.j].T
-        g = np.full((m, n), 7.0 + 0j)
-        grid._point_iffts(row, col, values, sub, g)
+        g = sub.g
+        g.fill(7.0)
+        grid._point_iffts(row, col, values, sub)
         held = np.unique(row)
         assert np.abs(g[:, held] - want[:, held]).max() <= 1e-13 * np.abs(want).max()
         assert (np.delete(g, held, axis=1) == 7.0).all()  # the other rows' columns are left
         # a Support's row IFFTs: transforms of its dense rows, direct sums at the rest
         support = grid.Support.of(sub, idx)
         g.fill(7.0)
-        made = support.iffts(values, sub, grid.RowBlocks(sub), g)
+        made = support.iffts(values, sub)
         assert made == np.count_nonzero(support.dense)
         assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -345,7 +358,7 @@ class TestScreenedPass:
         tau = tau_frac * off.max()
         bound = grid._row_l1(cols)
         made_rows = grid._screen(bound, tau) | t.dense
-        p, f_p, made = grid.screened_fft(cols, t, bound, tau, sub, grid.RowBlocks(sub))
+        p, f_p, made = grid.screened_fft(cols, t, bound, tau, sub)
         m = len(t.idx)
         assert made == np.count_nonzero(made_rows)
         assert np.array_equal(p[:m], t.idx)

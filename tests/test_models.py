@@ -170,6 +170,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="hsc", rates=HSC_RATES, t=1.0, init=(0, 0))
 
+    @pytest.mark.parametrize("init", [(1.5, 0), (True, 0), (1, 0, 0)])
+    def test_init_must_be_a_pair_of_integers(self, init):
+        # a fractional init gave the PGF a fractional power
+        with pytest.raises(ValueError, match="init must be a pair of integers"):
+            ModelSpec(kind="hsc", rates=HSC_RATES, t=1.0, init=init)
+
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ValueError):
             ModelSpec(kind="hsc", rates=HSC_RATES, t=0.0, init=(1, 0))

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import branchcs
@@ -74,3 +75,16 @@ def test_every_private_name_is_used():
     defined, used = private_names(Path(branchcs.__file__).parent)
     assert ("pgd", "_fft2") in defined  # the walk sees module-level names
     assert sorted(defined - used) == []
+
+
+def test_every_name_in_all_exists():
+    # a name left in a module's __all__ after its definition goes breaks
+    # `from module import *` and tells a reader of a name that is not there
+    pkg = Path(branchcs.__file__).parent
+    modules = [importlib.import_module("branchcs" if path.stem == "__init__"
+                                       else f"branchcs.{path.stem}")
+               for path in sorted(pkg.glob("*.py"))]
+    listed = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert any(module.__name__ == "branchcs.grid" for module, _ in listed)  # the lists are seen
+    assert [(module.__name__, name) for module, name in listed
+            if not hasattr(module, name)] == []
