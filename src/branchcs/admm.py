@@ -10,11 +10,12 @@ The scaled dual Y is not kept (Boyd et al. 2011, 3.1.1).  With C_k the M x M
 block sweep k transforms and F_k = FFT2(C_k), the prox argument is
 V_k = Z_{k-1} + F_k, Y_k = beta (V_k - Z_k) and U_k = F_k - F_{k-1} + D_k,
 D_k = 2 Z_{k-1} - Z_{k-2}; so IFFT2(beta Z - Y)[J, J] = beta (IFFT2(D_k)[J, J]
-- C_{k-1}).  A run keeps the last two C, the column transforms of the last, and
-t, the sorted support of Z_{k-1} and Z_{k-2} (under 0.5% of the grid at
-N = 512) with Z, D and F there: no N x N grid.  Its one other object is the
-grid.Subgrid of J, whose buffers every sweep works in and whose g holds the row
-IFFTs of the D the next sweep reads.
+- C_{k-1}).  A sweep hands on one form (_SweepForm): C_k, C_k - C_{k-1} and
+the column transforms of C_k; t, the sorted support of Z_k and Z_{k-1} (under
+0.5% of the grid at N = 512), with Z, D and F there; and the two sums over U_k
+recover_to_error takes the error from: no N x N grid.  A run's one other
+object is the grid.Subgrid of J, whose buffers every sweep works in and whose
+g holds the row IFFTs of the D the next sweep reads.
 
 Row u of F_k is the DFT of the M entries of row u of C_k's column transforms,
 so max_v |F_k[u, v]| is at most their L1 norm, and a row whose bound is at
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
 from .grid import (_NONE, MeasurementSet, Subgrid, Support, _row_l1, _screen, column_fft,
-                   column_ifft, fft_rows, rel_l2_error, row_blocks, sampled_ifft2, screened_fft)
+                   column_ifft, fft_rows, rel_l2_error, sampled_ifft2, screened_fft)
 
 __all__ = ["AdmmConfig", "AdmmState", "ResidualRecord", "SolveReport", "build_mhat",
            "soft_threshold", "u_update", "iterate", "recover", "recover_to_error",
@@ -106,16 +107,16 @@ class AdmmState:
 
 @dataclass(frozen=True, eq=False)
 class _SweepForm:
-    """The state after sweep k as sweep k + 1 reads it: C_k and C_{k-1}, and
-    cols, the column transforms of C_k; t, where Z_k or Z_{k-1} is not 0, with
-    Z_k, D_{k+1} and F_k there (z, d, f), and t_prev and d_prev, sweep k - 1's t
-    and D_k on it; k; row_ffts, the rows of F made so far; and bound, per row u
-    at least max |F_k[u, v]| over v off t (None before the first sweep, and in
-    runs that take no direct sums).  D_{k+1}'s row IFFTs at columns J are the
-    run's Subgrid's g."""
+    """What sweep k hands on: C_k, dc = C_k - C_{k-1} and cols, the column
+    transforms of C_k; t, where Z_k or Z_{k-1} is not 0, with Z_k, D_{k+1} and
+    F_k there (z, d, f), and t_prev and d_prev, sweep k - 1's t and D_k on it;
+    k; uu = ||U_k||^2 and ud = Re sum D_k (2A + D_k), A = FFT2(dc); row_ffts,
+    the rows of F made so far; and bound, per row u at least max |F_k[u, v]|
+    over v off t (None before the first sweep, and in runs that take no direct
+    sums).  D_{k+1}'s row IFFTs at columns J are the run's Subgrid's g."""
 
     c: np.ndarray
-    c_prev: np.ndarray
+    dc: np.ndarray
     cols: np.ndarray
     t: Support
     z: np.ndarray
@@ -124,6 +125,8 @@ class _SweepForm:
     t_prev: Support
     d_prev: np.ndarray
     k: int
+    uu: float = 0.0
+    ud: float = 0.0
     row_ffts: int = 0
     bound: np.ndarray | None = None
 
@@ -257,12 +260,11 @@ def _bound(cols: np.ndarray, s: _SweepForm, tau: float) -> np.ndarray:
 
 
 def _sweep(s: _SweepForm, sub: Subgrid, b_j: np.ndarray,
-           cfg: AdmmConfig) -> tuple[_SweepForm, ResidualRecord, tuple]:
+           cfg: AdmmConfig) -> tuple[_SweepForm, ResidualRecord]:
     """Sweep k = s.k + 1 on the Subgrid sub of sorted J, b_j = B / (beta + 1) on
-    J x J: the new form, its residual record, and what _error_from_sums takes the
-    error from: (C_k - C_{k-1}, ||U_k||^2, Re sum_t D_k (2A + D_k)).  D_k's row
-    IFFTs are read from sub.g and D_{k+1}'s written there.  Phase 1 is the
-    screened pass over F_k; phase 2 works on p once."""
+    J x J: the new form and its residual record.  D_k's row IFFTs are read from
+    sub.g and D_{k+1}'s written there.  Phase 1 is the screened pass over F_k;
+    phase 2 works on p once."""
     beta, tau = cfg.beta, cfg.lam / cfg.beta
     n, k, t, m = sub.n, s.k + 1, s.t, len(s.t.idx)  # t: Z_{k-1}, D_k
     # the bound goes on to the next sweep where rows take direct sums: below that
@@ -304,16 +306,14 @@ def _sweep(s: _SweepForm, sub: Subgrid, b_j: np.ndarray,
     d_new = d_next.take(kept)
     new.iffts(d_new, sub)
     z_new = z.take(kept)
-    n2 = float(n * n)
-    delta_c = c - s.c
-    dc = n2 * _sum_squares(delta_c)  # ||F_k - F_{k-1}||^2 by Parseval
-    sums = (rr + dc, _sum_squares(dz), uu + dc, _sum_squares(z),
+    n2, dc = float(n * n), c - s.c
+    aa = n2 * _sum_squares(dc)  # ||F_k - F_{k-1}||^2 by Parseval
+    sums = (rr + aa, _sum_squares(dz), uu + aa, _sum_squares(z),
             beta**2 * (yy + n2 * _sum_squares(c)))
     # F_k's rows not made are finite: they are at most tau
     rec = _record(k, n, cfg, sums, cols, z_new)
-    return (_SweepForm(c, s.c, cols, new, z_new, d_new, f.take(kept), t, s.d, k,
-                       s.row_ffts + made + remade, bound if carry else None),
-            rec, (delta_c, sums[2], ud))
+    return _SweepForm(c, dc, cols, new, z_new, d_new, f.take(kept), t, s.d, k, sums[2], ud,
+                      s.row_ffts + made + remade, bound if carry else None), rec
 
 
 def u_update(state: AdmmState, embedded_b: np.ndarray, mhat: np.ndarray,
@@ -372,21 +372,21 @@ def recover_to_error(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray,
 
 
 def _error_from_sums(s_true: np.ndarray, sub: Subgrid):
-    """rel_error(t, d, dC, uu, ud), the error of real(U_k)/N^2 against a real truth S
-    from _sweep's sums and D_k, d on its support t: with dC = C_k - C_{k-1}, U_k = A + D_k
-    and A = FFT2(dC) = F_k - F_{k-1}, ||Re U||^2 = (||U||^2 + Re sum U^2) / 2, where
-    sum U^2 = N^2 sum dC(j) dC(-j) over the j with -j in J x J, plus
-    sum_t D_k (2A + D_k), and <U, S> = sum_{J x J} dC FFT2(S) + sum_t D_k S."""
+    """rel_error(s), the error of real(U_k)/N^2 against a real truth S from the form
+    s of sweep k: with dC = s.dc and A = FFT2(dC), so U_k = A + D_k, ||Re U||^2 =
+    (s.uu + Re sum U^2) / 2, where sum U^2 = N^2 sum dC(j) dC(-j) over the j with -j
+    in J x J, plus s.ud, and <U, S> = sum_{J x J} dC FFT2(S) + sum_t D_k S."""
     n, j, flat, ss = sub.n, sub.j, s_true.reshape(-1), _sum_squares(s_true)
     fs = n**2 * sampled_ifft2(s_true, sub)  # conj(FFT2(S)[J, J]): S is real
     at = np.minimum(j.searchsorted((n - j) % n), len(j) - 1)
     pos = (j[at] == (n - j) % n).nonzero()[0]  # the places in J of the j whose -j is in J
     pos, neg = np.ix_(pos, pos), np.ix_(at[pos], at[pos])  # and of their -j
 
-    def rel_error(t: Support, d: np.ndarray, dc: np.ndarray, uu: float, ud: float) -> float:
-        usq = n**2 * _real_inner(np.conj(dc[pos]), dc[neg]) + ud  # Re sum U^2
-        us = _real_inner(fs, dc) + _real_inner(d.real, flat.take(t.idx))  # Re <U, S>
-        return math.sqrt(max(0.5 * (uu + usq) / n**4 - 2.0 * us / n**2 + ss, 0.0) / ss)
+    def rel_error(s: _SweepForm) -> float:
+        dc, on_t = s.dc, flat.take(s.t_prev.idx)
+        usq = n**2 * _real_inner(np.conj(dc[pos]), dc[neg]) + s.ud  # Re sum U^2
+        us = _real_inner(fs, dc) + _real_inner(s.d_prev.real, on_t)  # Re <U, S>
+        return math.sqrt(max(0.5 * (s.uu + usq) / n**4 - 2.0 * us / n**2 + ss, 0.0) / ss)
     return rel_error
 
 
@@ -394,15 +394,15 @@ def _write_s_hat(s: _SweepForm, sub: Subgrid, out: np.ndarray | None) -> tuple[n
     """s_hat = Re(U_k) / N^2 of the form s of sweep k into out, or else a new float
     grid, and max |Im U_k| / N^2: U_k = FFT2(C_k - C_{k-1}) + D_k is made a row
     block's worth of rows at a time in sub.u, from one column FFT."""
-    n, t, d = sub.n, s.t_prev, s.d_prev  # D_k on its support
+    n, h, t, d = sub.n, len(sub.u), s.t_prev, s.d_prev  # D_k on its support
     out = np.empty((n, n)) if out is None else out
-    n2, step = float(n * n), column_fft(s.c - s.c_prev, sub)
+    n2, step = float(n * n), column_fft(s.dc, sub)
     imag = []  # per block, max Im U and -min Im U
-    for rows in row_blocks(n):
-        u = fft_rows(step[rows], sub, sub.u[:rows.stop - rows.start])
-        lo, hi = t.idx.searchsorted((rows.start * n, rows.stop * n))
-        u.reshape(-1)[t.idx[lo:hi] - rows.start * n] += d[lo:hi]
-        np.divide(u.real, n2, out=out[rows])
+    for start in range(0, n, h):
+        u = fft_rows(step[start:start + h], sub, sub.u[:n - start])
+        lo, hi = t.idx.searchsorted((start * n, (start + h) * n))
+        u.reshape(-1)[t.idx[lo:hi] - start * n] += d[lo:hi]
+        np.divide(u.real, n2, out=out[start:start + h])
         imag += u.imag.max(), -u.imag.min()
     return out, float(np.max(imag)) / n2
 
@@ -421,7 +421,7 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
     s, s_hat = _SweepForm.zero(sub), None  # s_hat: the one grid each is written into
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
-        s, rec, sums = _sweep(s, sub, b_j, cfg)
+        s, rec = _sweep(s, sub, b_j, cfg)
         history.append(rec)
         first = history[0]
         converged = converged or (residual_check(rec)
@@ -431,7 +431,7 @@ def _run(ms: MeasurementSet, cfg: AdmmConfig, s_true: np.ndarray | None = None,
             if converged:
                 reason = "tolerance"
                 break
-        elif error(s.t_prev, s.d_prev, *sums) <= target:
+        elif error(s) <= target:
             (s_hat, max_imag), made = _write_s_hat(s, sub, s_hat), made + ms.n
             if rel_l2_error(s_hat, s_true) <= target:
                 reason = "error_target"

@@ -13,8 +13,8 @@ row holds enough of them to be worked by transforms or takes direct sums over
 its entries (_DIRECT_COST); screened_fft is the one pass both make F at their
 support by, and finds the entries off it above a threshold, making only the
 rows whose L1 bound can cross it (El Ghaoui et al. 2012).  Only the support
-decides how a row is worked, so the screen changes no bit.  The buffers the
-passes work in belong to the Subgrid a run builds for J: no run sees another's.
+decides how a row is worked, so the screen changes no bit.  The row blocks' height
+and buffers belong to the Subgrid a run builds for J: no run sees another's.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "MeasurementSet",
     "BLOCK_ELEMENTS",
     "check_grid_size",
-    "row_blocks",
     "Subgrid",
     "Support",
     "screened_fft",
@@ -121,13 +120,6 @@ def invert_full(b_full: np.ndarray) -> np.ndarray:
 BLOCK_ELEMENTS = 1 << 15
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of an n x n grid, of about BLOCK_ELEMENTS entries each;
-    the last may be short."""
-    step = max(1, BLOCK_ELEMENTS // n)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
-
 # Direct sums over a row's entries cost M operations an entry each way, and the
 # row's transforms about N log2 N.  A row takes them when it holds at most
 # N log2 N / (_DIRECT_COST M) of a support's entries: at the default M none
@@ -141,8 +133,9 @@ class Subgrid:
     """An index set J of an n x n grid and the flat positions of columns J in a
     row block's worth of rows, which the row transforms scatter through; and the
     buffers of the run it is built for, made when first used: u, re and above, a
-    row block's worth of complex rows, their moduli and a mask, and g, the M x N
-    row IFFTs gathered at columns J that Support.iffts writes (0 until then)."""
+    row block's worth of complex rows (len(u), the height of the solvers' row
+    blocks), their moduli and a mask, and g, the M x N row IFFTs gathered at
+    columns J that Support.iffts writes (0 until then)."""
 
     u = cached_property(lambda self: np.empty((len(self.flat), self.n), dtype=complex))
     re = cached_property(lambda self: np.empty((len(self.flat), self.n)))
@@ -154,7 +147,7 @@ class Subgrid:
         self.j = np.asarray(indices, dtype=int)
         if self.j.ndim != 1 or (self.j.size and not 0 <= self.j.min() <= self.j.max() < n):
             raise ValueError(f"indices must be a 1-d array of values in [0, {n})")
-        self.flat = n * np.arange(row_blocks(n)[0].stop)[:, None] + self.j
+        self.flat = n * np.arange(min(max(1, BLOCK_ELEMENTS // n), n))[:, None] + self.j
 
     @cached_property
     def direct_max(self) -> int:
@@ -252,25 +245,20 @@ def _places(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
 class Support(NamedTuple):
     """Sorted flat indices of an n x n grid and how a solver works the grid's rows
     at them: dense, per row, whether it holds more than direct_max of them, so
-    that its transforms are made; and direct, the places of the indices in the
-    other rows, with their rows and columns, where direct sums stand in for the
-    transforms.  A solver keeps the values it has there in arrays aligned with idx."""
+    that its transforms are made; and direct, the places in idx of the indices in
+    the other rows, where direct sums stand in for the transforms.  A solver keeps
+    the values it has there in arrays aligned with idx."""
 
     idx: np.ndarray
     dense: np.ndarray
-    direct: np.ndarray = _NONE
-    direct_row: np.ndarray = _NONE
-    direct_col: np.ndarray = _NONE
+    direct: np.ndarray
 
     @classmethod
     def of(cls, sub: Subgrid, idx: np.ndarray) -> Support:
         row = idx // sub.n
         dense = np.bincount(row, minlength=sub.n) > sub.direct_max
         direct = np.logical_not(dense.take(row)).nonzero()[0] if sub.direct_max else _NONE
-        if not len(direct):
-            return cls(idx, dense)
-        at_row = row.take(direct)
-        return cls(idx, dense, direct, at_row, idx.take(direct) - at_row * sub.n)
+        return cls(idx, dense, direct)
 
     @classmethod
     def kept(cls, sub: Subgrid, p: np.ndarray, m: int,
@@ -311,7 +299,7 @@ class Support(NamedTuple):
             else:  # by flat indices: an index array on g's second axis is much slower
                 g.reshape(-1)[np.arange(m)[:, None] * n + rows] = y
         if len(self.direct):
-            _point_iffts(self.direct_row, self.direct_col, values.take(self.direct), sub)
+            _point_iffts(*divmod(self.idx.take(self.direct), n), values.take(self.direct), sub)
         return sum(map(len, groups))
 
 
@@ -344,7 +332,7 @@ def screened_fft(cols: np.ndarray, t: Support, bound: np.ndarray, tau: float,
             found.append(rows.take(slot) * n + col)
             f_found.append(v.take(hit))
     if len(t.direct):  # in their rows' places too, if those were made
-        f[t.direct] = _fft_points(cols, t.direct_row, t.direct_col, sub)
+        f[t.direct] = _fft_points(cols, *divmod(t.idx.take(t.direct), n), sub)
     count = sum(map(len, groups))
     if len(found) == 1:  # p is t: no copies, which in a solver's first iterations are grids
         return t.idx, f, count

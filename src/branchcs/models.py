@@ -35,10 +35,14 @@ __all__ = [
 ]
 
 
-def _check_rates(**rates):
-    for name, value in rates.items():
-        if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
-            raise ValueError(f"rate {name} must be strictly positive and finite, got {value!r}")
+def _check_positive(**values):
+    """Raise ValueError naming the first value that is not a real number (a bool
+    is not one), or not finite and > 0: the check of every rate and of t."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0 < value < math.inf:  # False for NaN
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class RatesHSC:
     mu: float
 
     def __post_init__(self):
-        _check_rates(rho=self.rho, nu=self.nu, mu=self.mu)
+        _check_positive(rho=self.rho, nu=self.nu, mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class RatesBDS:
     delta: float
 
     def __post_init__(self):
-        _check_rates(gamma=self.gamma, sigma=self.sigma, delta=self.delta)
+        _check_positive(gamma=self.gamma, sigma=self.sigma, delta=self.delta)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ class ModelSpec:
             raise ValueError("hsc model requires RatesHSC")
         if self.kind == "bds" and not isinstance(self.rates, RatesBDS):
             raise ValueError("bds model requires RatesBDS")
-        if not 0 < self.t < math.inf:  # False for NaN
-            raise ValueError(f"t must be finite and > 0, got {self.t!r}")
+        _check_positive(t=self.t)
         if not (len(self.init) == 2 and all(isinstance(x, Integral) and not isinstance(x, bool)
                                             for x in self.init)):
             raise ValueError(f"init must be a pair of integers, got {self.init!r}")
@@ -234,11 +237,11 @@ def pgf_block(model: ModelSpec, s1, s2, out=None) -> np.ndarray:
     if model.kind == "hsc":
         p2 = hsc_phi2(t, s2, rates)
         if j:
-            rho, nu, mu, h = rates.rho, rates.nu, rates.mu, 0.5 * (rates.rho + rates.nu)
+            rho, nu, h = rates.rho, rates.nu, 0.5 * (rates.rho + rates.nu)
 
             def flow(tau, w):  # W' row by row: [a', b'] = f [c, d] - h [a, b], ...
                 top, bottom = w.reshape(2, 2, m)
-                f = nu * (1.0 + (s2 - 1.0) * math.exp(-mu * tau))  # nu phi2(tau)
+                f = nu * hsc_phi2(tau, s2, rates)
                 return np.concatenate((f * bottom - h * top, h * bottom - rho * top), axis=None)
 
             w0 = np.repeat([1.0 + 0j, 0.0, 0.0, 1.0], m)  # W(0) = I for every s2
@@ -284,7 +287,7 @@ def model_from_config(cfg: dict) -> ModelSpec:
     rates = rates_type(**{f.name: get(raw, f.name, "config 'rates'") for f in fields(rates_type)})
     t, init = get(cfg, "t"), get(cfg, "init")
     try:
-        return ModelSpec(kind=kind, rates=rates, t=float(t), init=tuple(init))
+        init = tuple(init)
     except TypeError:
-        raise ValueError(f"config 't' must be a number and 'init' a pair of integers, "
-                         f"got {t!r} and {init!r}") from None
+        raise ValueError(f"config 'init' must be a pair of integers, got {init!r}") from None
+    return ModelSpec(kind=kind, rates=rates, t=t, init=init)

@@ -530,7 +530,7 @@ class TestCarriedBound:
         checked, sweep = [], admm._sweep
 
         def checking(s, sub, *args):
-            new, rec, sums = sweep(s, sub, *args)
+            new, rec = sweep(s, sub, *args)
             c = np.zeros((n, n), dtype=complex)
             c[np.ix_(sub.j, sub.j)] = new.c
             f = np.abs(np.fft.fft2(c))
@@ -538,7 +538,7 @@ class TestCarriedBound:
             f.reshape(-1)[new.t.idx] = 0  # off the support the next sweep reads
             assert (f.max(axis=1) <= new.bound + slack).all(), new.k
             checked.append(new.k)
-            return new, rec, sums
+            return new, rec
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(grid, "_DIRECT_COST", 1)  # so the bound is carried at these sizes
@@ -623,7 +623,7 @@ def test_s_hat_written_by_row_blocks_is_the_dense_u(small_blocks, n, seed, densi
     on[[rng.integers(n), (n - 1) * n + rng.integers(n)]] = True
     idx = on.nonzero()[0]
     d = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
-    s = dataclasses.replace(admm._SweepForm.zero(sub), c=c, c_prev=c_prev,
+    s = dataclasses.replace(admm._SweepForm.zero(sub), c=c, dc=c - c_prev,
                             t_prev=grid.Support.of(sub, idx), d_prev=d, k=1)
     out = np.full((n, n), np.nan)  # a grid reused from an earlier write
     s_hat, max_imag = admm._write_s_hat(s, sub, out)
@@ -642,15 +642,15 @@ def error_pairs(ms, cfg, truth, monkeypatch):
     sweep, error_from_sums = admm._sweep, admm._error_from_sums
 
     def keeping(s, sub, *args):
-        new, rec, sums = sweep(s, sub, *args)
+        new, rec = sweep(s, sub, *args)
         last[:] = [new, sub]
-        return new, rec, sums
+        return new, rec
 
     def checking(s_true, sub):
         rel_error = error_from_sums(s_true, sub)
 
-        def checked(t, *sums):
-            got = rel_error(t, *sums)
+        def checked(form):
+            got = rel_error(form)
             s, sub = last
             pairs.append((got, rel_l2_error(np.real(dense_u(s, sub)) / sub.n**2, truth)))
             return got
@@ -729,7 +729,7 @@ class TestErrorFromSums:
             return confirms[-1]
 
         monkeypatch.setattr(admm, "_error_from_sums", lambda s_true, sub: (
-            lambda *sums, rel_error=error_from_sums(s_true, sub): 0.5 * rel_error(*sums)))
+            lambda s, rel_error=error_from_sums(s_true, sub): 0.5 * rel_error(s)))
         monkeypatch.setattr(admm, "rel_l2_error", counted)
         report = recover_to_error(ms, dataclasses.replace(cfg, max_iter=500), truth, target)
         assert report.stop_reason == "error_target"

@@ -439,8 +439,13 @@ class TestExitCodes:
         ({"t": float("inf")}, "t must be finite"),
         ({"init": [1.7, 0]}, "init"),
         ({"init": [True, 0]}, "init"),
+        ({"t": "1.0"}, "t must be a number"),
+        ({"t": True}, "t must be a number"),
+        ({"t": "abc"}, "t must be a number"),
+        ({"rates": {"rho": True, "nu": 0.104, "mu": 0.147}}, "rho must be a number"),
     ], ids=["no-model", "no-rates", "no-t", "no-init", "no-rate", "string-rate", "infinite-t",
-            "fractional-init", "boolean-init"])
+            "fractional-init", "boolean-init", "string-t", "boolean-t", "non-numeric-t",
+            "boolean-rate"])
     def test_config_schema_error_is_usage_error(self, tmp_path, capsys, change, key):
         cfg = {k: v for k, v in {**HSC_CONFIG, **change}.items() if v is not None}
         path = tmp_path / "cfg.json"

@@ -185,6 +185,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="t must be finite"):
             ModelSpec(kind="hsc", rates=HSC_RATES, t=t, init=(1, 0))
 
+    @pytest.mark.parametrize("t", [True, "1.0"])
+    def test_time_must_be_a_number(self, t):
+        # a bool or a string t was taken as the number 1.0
+        with pytest.raises(ValueError, match="t must be a number"):
+            ModelSpec(kind="hsc", rates=HSC_RATES, t=t, init=(1, 0))
+
+    def test_a_rate_must_be_a_number(self):
+        with pytest.raises(ValueError, match="rho must be a number"):
+            RatesHSC(rho=True, nu=0.104, mu=0.147)
+
 
 class TestConfigParsing:
     def test_round_trip(self):

@@ -88,3 +88,29 @@ def test_every_name_in_all_exists():
     assert any(module.__name__ == "branchcs.grid" for module, _ in listed)  # the lists are seen
     assert [(module.__name__, name) for module, name in listed
             if not hasattr(module, name)] == []
+
+
+def unused_imports(path: Path) -> list:
+    """(file, name, line) of each name the module at path imports (bar __future__
+    features) that no expression in it reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:  # import a.b binds a
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(path.name, name, line) for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_used():
+    # an import nothing reads is a leftover of a change; __init__.py imports
+    # to re-export, so it is not checked
+    paths = [path for path in sorted(Path(branchcs.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    assert any(path.name == "admm.py" for path in paths)  # the walk sees the modules
+    assert [use for path in paths for use in unused_imports(path)] == []
