@@ -27,6 +27,7 @@ from .grid import (
     check_grid_size,
     default_m,
     full_measurements,
+    grid_entries,
     invert_full,
     rel_l2_error,
     sample_indices,
@@ -59,15 +60,16 @@ def _m_or_default(args) -> int:
 
 
 def _exact_and_subgrids(model, n: int, m: int, seeds) -> tuple[np.ndarray, list[MeasurementSet]]:
-    """Exact S from the full grid, and the J x J measurements read off it per seed.
+    """Exact S from the grid's columns 0..N/2, and the J x J measurements read off
+    them per seed, before the inversion overwrites them.
 
-    The index sets are drawn first, so a bad --m fails before the full grid.
+    The index sets are drawn first, so a bad --m fails before the grid.
     """
     index_sets = [(seed, sample_indices(n, m, seed)) for seed in seeds]
-    b_full = full_measurements(model, n)
-    subgrids = [MeasurementSet(n=n, indices=idx, b=b_full[np.ix_(idx, idx)], seed=seed)
+    b_half = full_measurements(model, n, half=True)
+    subgrids = [MeasurementSet(n=n, indices=idx, b=grid_entries(b_half, idx, idx), seed=seed)
                 for seed, idx in index_sets]
-    return invert_full(b_full), subgrids
+    return invert_full(b_half, overwrite=True), subgrids
 
 
 def _write_matrix(path_stem: Path, arr, fmt: str) -> Path:
@@ -118,9 +120,10 @@ def _check_format(args, side: int) -> None:
 
 def cmd_solve(args, model, out_dir: Path) -> tuple[dict, str]:
     _check_format(args, args.n)
-    s = invert_full(full_measurements(model, args.n))
+    n = args.n
+    s = invert_full(full_measurements(model, n, half=True), overwrite=True)
     s_path = _write_matrix(out_dir / "S_full", s, args.format)
-    fields = {"n": args.n, "pgf_evals": args.n * args.n, "outputs": [str(s_path)],
+    fields = {"n": n, "pgf_evals": n * (n // 2 + 1), "outputs": [str(s_path)],
               "total_mass": float(s.sum())}
     return fields, f"wrote {s_path} (total mass {fields['total_mass']:.6f})"
 

@@ -5,6 +5,12 @@ e^{-2 pi i l u / N} (numpy fft2); the 1/N^2 factor is applied exactly once:
 by the inverse transforms in invert_full (the two passes of irfft2), and where
 a solver writes s_hat, Re(U) / N^2 for ADMM and Re(S) / N^2 for FISTA.
 
+The grid of a real matrix is fixed by its columns 0..N/2, the N (N/2 + 1)
+values full_measurements computes.  The exact path (solve, sweep, bench)
+builds only those (half=True); sweep and bench read their J x J subgrids off
+them (grid_entries) before invert_full inverts them in place (overwrite).  By
+default full_measurements returns the whole N x N grid, mirror and all.
+
 Both solvers make FFT2 of an M x M block on J x J (F for ADMM, the gradient for
 FISTA) through the restricted transforms here: M column transforms (column_fft),
 then rows of the grid only as they are needed (fft_rows).  A solver's sparse
@@ -38,6 +44,7 @@ __all__ = [
     "screened_fft",
     "full_measurements",
     "invert_full",
+    "grid_entries",
     "sampled_ifft2",
     "column_ifft",
     "column_fft",
@@ -86,31 +93,56 @@ def _pgf_block(model: ModelSpec, n: int, rows, cols, out=None) -> np.ndarray:
                      np.exp(2j * np.pi * np.asarray(cols) / n), out)
 
 
-def full_measurements(model: ModelSpec, n: int) -> np.ndarray:
-    """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}).
+def full_measurements(model: ModelSpec, n: int, *, half: bool = False) -> np.ndarray:
+    """N x N grid of PGF values at the Fourier nodes (e^{2 pi i u/N}, e^{2 pi i v/N}),
+    or with half its columns 0..N/2 alone, an N x (N/2 + 1) array; N (N/2 + 1)
+    PGF values either way.
 
     Columns 0..N/2 are computed, in place; column v above N/2 is conj of
     column N - v with its rows reflected, u to (N - u) mod N (the coefficients
     are real): row 0 and rows 1..N-1 are each one reversed-slice copy.
     """
-    half = n // 2 + 1
-    b = np.empty((n, n), dtype=complex)
-    _pgf_block(model, n, np.arange(n), np.arange(half), out=b[:, :half])
-    np.conj(b[0, half - 2:0:-1], out=b[0, half:])
-    np.conj(b[:0:-1, half - 2:0:-1], out=b[1:, half:])
+    cols = n // 2 + 1
+    b = np.empty((n, cols if half else n), dtype=complex)
+    _pgf_block(model, n, np.arange(n), np.arange(cols), out=b[:, :cols])
+    if not half:
+        np.conj(b[0, cols - 2:0:-1], out=b[0, cols:])
+        np.conj(b[:0:-1, cols - 2:0:-1], out=b[1:, cols:])
     return b
 
 
-def invert_full(b_full: np.ndarray) -> np.ndarray:
+def _half_columns(b: np.ndarray) -> int:
+    """N/2 + 1, for b an N x N grid or its N x (N/2 + 1) columns 0..N/2; else NonSquareGrid."""
+    if b.ndim != 2 or b.shape[1] not in (b.shape[0], b.shape[0] // 2 + 1):
+        raise NonSquareGrid(f"expected an N x N grid or its N x (N/2+1) columns 0..N/2, "
+                            f"got shape {b.shape}")
+    return b.shape[0] // 2 + 1
+
+
+def invert_full(b: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
     """Exact transition probabilities real(FFT2(B)) / N^2, for B the grid of a real
-    matrix, which its columns 0..N/2 fix: only those are read.  The result is
-    IFFT2(conj B), made as irfft2 makes it from their conj (column transforms,
-    here in place, then real row transforms), with irfft2's bits."""
-    if b_full.ndim != 2 or b_full.shape[0] != b_full.shape[1]:
-        raise NonSquareGrid(f"expected square grid, got {b_full.shape}")
-    n = b_full.shape[0]
-    half = np.conj(b_full[:, :n // 2 + 1])
-    return np.fft.irfft(np.fft.ifft(half, axis=0, out=half), n=n, axis=1)
+    matrix, which its columns 0..N/2 fix: b is B (N x N) or those columns
+    (N x (N/2 + 1), full_measurements' half), and only they are read.  The
+    result is IFFT2(conj B), made as irfft2 makes it from their conj (column
+    transforms, then real row transforms), with irfft2's bits.  The conj and
+    the column transforms are made in a copy of those columns, or with
+    overwrite in b's own, whose values are then lost: only the caller says so,
+    never the shape (at N = 2 both shapes are 2 x 2)."""
+    half = b[:, :_half_columns(b)]
+    half = np.conj(half, out=half if overwrite else None)
+    return np.fft.irfft(np.fft.ifft(half, axis=0, out=half), n=len(b), axis=1)
+
+
+def grid_entries(b: np.ndarray, rows, cols) -> np.ndarray:
+    """B[rows][:, cols] of the N x N grid B of a real matrix, from b, B or its
+    columns 0..N/2: entry (u, v) above column N/2 is conj B[(-u) mod N, N - v],
+    so only those columns are read, and every entry has B's bits.  One gather."""
+    _half_columns(b)
+    n = len(b)
+    rows, cols = np.asarray(rows, dtype=int)[:, None], np.asarray(cols, dtype=int)
+    upper = cols > n // 2
+    out = b[np.where(upper, -rows % n, rows), np.where(upper, n - cols, cols)]
+    return np.conj(out, out=out, where=upper)
 
 
 # The solvers make the rows of a grid a row block's worth at a time: about

@@ -11,11 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchcs import cli
 from branchcs.cli import main
-from branchcs.grid import full_measurements, invert_full
+from branchcs.grid import full_measurements, invert_full, sample_indices
 from branchcs.matio import read_matrix, write_matrix
+from branchcs.models import model_from_config
+from helpers import traced_peak
 
 HSC_CONFIG = {
     "model": "hsc",
@@ -56,8 +60,30 @@ class TestSolve:
         assert s.sum() == pytest.approx(1.0, abs=1e-6)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "solve"
-        assert manifest["pgf_evals"] == 256
+        assert manifest["pgf_evals"] == 144  # N (N/2 + 1) at N = 16
         assert manifest["tool_version"]
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 512])
+    @pytest.mark.parametrize("init", [(1, 0), (2, 3), (0, 2)])
+    @pytest.mark.parametrize("config", [HSC_CONFIG, BDS_CONFIG], ids=["hsc", "bds"])
+    def test_writes_the_full_grids_inversion(self, tmp_path, config, init, n):
+        # solve builds and inverts only the N x (N/2 + 1) half, with the same bits
+        config = {**config, "init": list(init)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--n", str(n)]) == 0
+        want = invert_full(full_measurements(model_from_config(config), n))
+        assert read_matrix(tmp_path / "S_full.bpm").tobytes() == want.tobytes()
+
+    def test_holds_the_half_grid_and_s_only(self, tmp_path, hsc_config):
+        # the half grid is about S's bytes; the N x N grid and a copy of its half
+        # (4.0 S's) are never made
+        argv = ["solve", "--config", hsc_config, "--out-dir", str(tmp_path), "--n", "512"]
+        assert main(argv) == 0  # a first run outside the trace
+        rc, peak = traced_peak(lambda: main(argv))
+        assert rc == 0
+        assert peak <= 2.25 * read_matrix(tmp_path / "S_full.bpm").nbytes
 
     def test_csv_format(self, tmp_path, hsc_config):
         out = tmp_path / "out"
@@ -177,6 +203,30 @@ class TestRecover:
 
 
 class TestSweepAndBench:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([HSC_CONFIG, BDS_CONFIG]), st.integers(1, 8), st.data())
+    def test_subgrids_are_the_full_grids_entries(self, config, log_n, data):
+        # sweep's and bench's J x J, read off the half grid, and their exact S
+        n = 2 ** log_n
+        model = model_from_config({**config, "init": [2, 3]})
+        m = data.draw(st.integers(1, n))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+        edges = data.draw(st.booleans())
+
+        def draw(n, m, seed):  # J, with 0 and N/2 in it if edges
+            idx = sample_indices(n, m, seed)
+            return np.union1d(idx, [0, n // 2]) if edges else idx
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "sample_indices", draw)
+            s, subgrids = cli._exact_and_subgrids(model, n, m, seeds)
+        full = full_measurements(model, n)
+        assert s.tobytes() == invert_full(full).tobytes()
+        for seed, ms in zip(seeds, subgrids, strict=True):
+            idx = draw(n, m, seed)
+            assert ms.seed == seed and ms.indices.tolist() == idx.tolist()
+            assert ms.b.tobytes() == full[np.ix_(idx, idx)].tobytes()
+
     def test_sweep_beta_csv(self, tmp_path, hsc_config):
         out = tmp_path / "out"
         assert main(["sweep", "--config", hsc_config, "--out-dir", str(out),

@@ -19,6 +19,7 @@ from branchcs.grid import (
     embed_measurements,
     fft_rows,
     full_measurements,
+    grid_entries,
     invert_full,
     rel_l2_error,
     sample_indices,
@@ -46,6 +47,26 @@ class TestFullGrid:
         for v in range(n // 2 + 1, n):
             loop[:, v] = np.conj(loop[refl, n - v])
         assert b.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("kind, init", [("hsc", (1, 0)), ("bds", (2, 3))])
+    @pytest.mark.parametrize("n", [2, 4, 64])
+    def test_half_is_the_computed_columns(self, hsc_model, bds_model, kind, init, n):
+        model = dataclasses.replace(hsc_model if kind == "hsc" else bds_model, init=init)
+        b = full_measurements(model, n, half=True)
+        assert b.shape == (n, n // 2 + 1) and b.flags.c_contiguous
+        assert b.tobytes() == full_measurements(model, n)[:, :n // 2 + 1].copy().tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_entries_are_the_full_grids(self, hsc_model, log_n, data):
+        # any rows and columns, 0 and N/2 among them, from the grid or its half
+        n = 2 ** log_n
+        b = full_measurements(dataclasses.replace(hsc_model, init=(2, 3)), n)
+        index = st.lists(st.sampled_from(range(n)), min_size=1, max_size=n, unique=True)
+        rows, cols = data.draw(index), data.draw(index) + [0, n // 2]
+        want = b[np.ix_(rows, cols)].tobytes()
+        assert grid_entries(b, rows, cols).tobytes() == want
+        assert grid_entries(b[:, :n // 2 + 1].copy(), rows, cols).tobytes() == want
 
     @pytest.mark.parametrize("kind, n, init", [
         *((kind, 64, init) for kind in ("hsc", "bds") for init in ((1, 0), (0, 1), (2, 3))),
@@ -91,6 +112,11 @@ class TestFullGrid:
         with pytest.raises(NonSquareGrid):
             invert_full(np.zeros((4, 6), dtype=complex))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 2, 2)])
+    def test_invert_takes_a_grid_or_its_half_only(self, shape):
+        with pytest.raises(NonSquareGrid, match=r"N x N grid or its N x \(N/2\+1\)"):
+            invert_full(np.zeros(shape, dtype=complex))
+
     def test_fourier_round_trip(self):
         # invert_full is the exact inverse of the measurement synthesis
         rng = np.random.default_rng(0)
@@ -112,6 +138,19 @@ class TestInvertFull:
         assert back.tobytes() == np.fft.irfft2(np.conj(b[:, :n // 2 + 1]), s=(n, n)).tobytes()
         assert back.dtype == np.float64 and back.shape == (n, n)
         assert np.max(np.abs(back - s)) <= 1e-13 * np.max(np.abs(s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_overwrites_only_when_told(self, log_n, half, seed):
+        # the shape never decides it: at N = 2 the grid and its half are both 2 x 2
+        n = 2 ** log_n
+        shape = (n, n // 2 + 1 if half else n)
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = b.tobytes()
+        s = invert_full(b)
+        assert b.tobytes() == before
+        assert invert_full(b, overwrite=True).tobytes() == s.tobytes()
 
     @pytest.mark.parametrize("kind, n", [("hsc", 512), ("bds", 256)])
     def test_model_grid_matches_the_full_transform(self, hsc_model, bds_model, kind, n):
